@@ -6,36 +6,43 @@
 //! synthesis, the two collectors, the two mapping tools, and the four
 //! processed-dataset jobs — executed by a deterministic scheduler
 //! ([`execute`]) on scoped worker threads. Independent stages run
-//! concurrently (Skitter ∥ Mercator, the four `process()` jobs, the
+//! concurrently (Skitter ∥ Mercator, the four `process_chunked` jobs, the
 //! per-region population grids); dependent stages wait on their named
 //! dependencies.
 //!
-//! Three properties the engine guarantees:
+//! Each stage declares the type it produces ([`Stage::Output`]), and
+//! everything the engine needs to know about that type — item count,
+//! heap bytes, health, anomalies, and for persisted types the disk load
+//! and save — is one [`Artifact`] impl per type. The scheduler holds
+//! stages through [`ErasedStage`], whose one blanket impl is the only
+//! place an output's type is erased.
+//!
+//! Five properties the engine guarantees:
 //!
 //! - **Determinism.** Every stage derives its RNG seed from the
 //!   configuration, never from scheduling, so output is byte-identical
 //!   at any thread count (the determinism suite asserts this).
 //! - **Reuse.** Artifacts are keyed by a canonical config
 //!   [`Fingerprint`]; a shared [`ArtifactStore`] lets a second run of
-//!   the same config skip regeneration entirely (memory), and
-//!   persistable artifacts additionally spill to disk via `io.rs`.
+//!   the same config skip regeneration entirely (memory), and persisted
+//!   artifact types additionally spill to disk via `io.rs`.
 //! - **Observability.** Each stage execution records a [`StageReport`]
 //!   (wall time, validation time, artifact size, cache outcome,
 //!   attempts, degradation, anomalies), surfaced through
 //!   `PipelineOutput::reports` and `--trace`.
 //! - **Supervision.** Stages fail with a typed [`StageError`]; the
-//!   scheduler retries transient failures per [`RetryPolicy`], records
+//!   scheduler retries transient failures (twice), records
 //!   degraded-but-acceptable outcomes (monitor quorum runs) instead of
 //!   aborting, and — with a disk-backed store — a killed run resumes
 //!   from the last fingerprint-valid artifacts.
 //! - **Durability.** Disk cache entries are checksummed, versioned
 //!   envelopes published atomically through the [`crate::vfs::Vfs`]
 //!   seam; damaged entries are quarantined and regenerated
-//!   ([`CacheLoad::Corrupt`]), failed spills degrade the store to
-//!   in-memory residency ([`SaveOutcome::Failed`]), and the chaos suite
-//!   (`tests/chaos.rs`) sweeps injected disk faults across every
-//!   filesystem op to hold the contract: byte-identical completion or a
-//!   typed error, never silent divergence.
+//!   ([`CacheRead::Corrupt`]), a failed spill degrades the store to
+//!   in-memory residency, and the chaos suite (`tests/chaos.rs`) sweeps
+//!   injected disk faults across every filesystem op to hold the
+//!   contract: byte-identical completion or a typed error, never silent
+//!   divergence.
 
 mod fingerprint;
 mod scheduler;
@@ -45,8 +52,8 @@ mod supervise;
 
 pub use fingerprint::{config_fingerprint, stage_fingerprint, Fingerprint};
 pub use scheduler::{
-    execute, parallel_map, parse_threads_env, resolve_threads, threads_env_warning, CacheStatus,
-    EngineExec, StageReport,
+    execute, parallel_map, parse_threads_env, resolve_threads, threads_env_warning, Artifacts,
+    CacheStatus, EngineExec, ErasedStage, RunCtx, StageReport,
 };
 pub use stages::{map_stage_name, pipeline_stages, pop_grid_name};
 pub use stages::{
@@ -54,110 +61,92 @@ pub use stages::{
     NEAREST_HINTS, ORG_DB, QUERY_SNAPSHOT, ROUTE_TABLE,
 };
 pub use store::ArtifactStore;
-pub use supervise::{RetryPolicy, StageError};
+pub use supervise::StageError;
 
 pub(crate) use fingerprint::{fnv1a, FNV_OFFSET};
 pub(crate) use stages::TABLE_I_ORDER;
 
+use crate::io::{CacheRead, IoError};
 use crate::pipeline::PipelineConfig;
 use crate::telemetry::Telemetry;
 use crate::vfs::Vfs;
 use std::any::Any;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-/// A type-erased, cheaply shareable stage output.
-pub type Artifact = Arc<dyn Any + Send + Sync>;
+/// A stage output with its type erased: how the scheduler hands
+/// artifacts between stages and how the store keeps them.
+pub type ErasedArtifact = Arc<dyn Any + Send + Sync>;
 
-/// A handle to the store's on-disk cache directory, carrying the
-/// [`Vfs`] seam every read, write and rename must go through — stages
-/// never touch `std::fs` directly (GT-LINT-012), so the chaos suite can
-/// interpose deterministic disk faults on every cache operation.
-#[derive(Debug, Clone, Copy)]
-pub struct DiskCache<'a> {
-    /// The cache directory (entries, `.tmp` staging files, and the
-    /// `quarantine/` subdirectory all live here).
-    pub dir: &'a Path,
-    /// The filesystem implementation: [`crate::vfs::RealVfs`] in
-    /// production, a [`crate::vfs::ChaosVfs`] under fault injection.
-    pub vfs: &'a dyn Vfs,
-}
-
-impl DiskCache<'_> {
-    /// The canonical entry path for one (fingerprint, stage) pair.
-    pub fn entry_path(&self, fp: Fingerprint, stage: &str) -> PathBuf {
-        crate::io::dataset_cache_path(self.dir, &fp.to_string(), stage)
+/// What the engine needs to know about one artifact type, implemented
+/// once per type a [`Stage`] produces. The defaults describe a
+/// memory-only, always-healthy artifact of one item and unknown size.
+pub trait Artifact: Any + Send + Sync + Sized {
+    /// Size in type-specific items (routers, table entries, nodes...),
+    /// for the [`StageReport`].
+    fn items(&self) -> usize {
+        1
     }
-}
 
-/// Outcome of a disk-cache probe — three-valued so the scheduler can
-/// tell a cold cache from a damaged one: `Corrupt` entries are
-/// quarantined and counted before the stage recomputes, `Miss` just
-/// recomputes.
-#[derive(Debug)]
-pub enum CacheLoad {
-    /// The entry decoded, passed every integrity check, and is usable.
-    Hit(Artifact),
-    /// No entry on disk (or the stage has no persistent form).
-    Miss,
-    /// The entry at `path` exists but is unusable — torn, bit-flipped,
-    /// misaddressed, schema-drifted, or unreadable.
-    Corrupt {
-        /// The damaged file, for quarantining.
-        path: PathBuf,
-        /// Human-readable first failed integrity layer.
-        reason: String,
-    },
-}
-
-/// Outcome of persisting an artifact to the disk cache.
-#[derive(Debug)]
-pub enum SaveOutcome {
-    /// A durable disk copy now exists (the entry is safe to evict from
-    /// memory under a budget).
-    Saved,
-    /// The stage has no persistent form; nothing was attempted.
-    Unsupported,
-    /// The write failed; the scheduler disables spill for the rest of
-    /// the run and keeps the artifact resident in memory.
-    Failed {
-        /// Degradation key (`enospc` | `io` | `serde`), used in the
-        /// `engine.store.spill_disabled.<reason>` counter.
-        reason: &'static str,
-        /// The underlying error, for the stage report.
-        detail: String,
-    },
-}
-
-impl SaveOutcome {
-    /// Classifies an envelope-save result.
-    pub fn from_save(res: Result<(), crate::io::IoError>) -> Self {
-        match res {
-            Ok(()) => SaveOutcome::Saved,
-            Err(e) => SaveOutcome::Failed {
-                reason: crate::io::degrade_reason(&e),
-                detail: e.to_string(),
-            },
-        }
+    /// Approximate heap size in bytes, for the store's resident-bytes
+    /// gauge (`0` = unknown).
+    fn heap_bytes(&self) -> usize {
+        0
     }
-}
 
-/// Wraps a concrete stage output as an [`Artifact`].
-pub fn artifact<T: Any + Send + Sync>(value: T) -> Artifact {
-    Arc::new(value)
+    /// A degradation note when the artifact is usable but partial (e.g.
+    /// a collection that lost monitors to an outage but kept quorum).
+    /// Recorded in the [`StageReport`]; `None` means fully healthy.
+    fn health(&self) -> Option<String> {
+        None
+    }
+
+    /// A one-line summary of collection anomalies survived while
+    /// producing the artifact, for `--trace`. `None` when clean.
+    fn anomalies(&self) -> Option<String> {
+        None
+    }
+
+    /// Reloads the artifact from its cache entry at `path`. Types without
+    /// a persistent form report a miss without touching the disk; an
+    /// entry that fails any integrity check or load guard must be
+    /// [`CacheRead::Corrupt`] (never folded into a miss) so the scheduler
+    /// quarantines and counts it before regenerating.
+    fn load(_vfs: &dyn Vfs, _path: &Path, _stage: &str, _fp: Fingerprint) -> CacheRead<Self> {
+        CacheRead::Miss
+    }
+
+    /// Publishes the artifact as the cache entry at `path` through the
+    /// envelope writer; types without a persistent form write nothing.
+    ///
+    /// # Errors
+    ///
+    /// The failed write, on which the scheduler latches spill off for the
+    /// rest of the run (graceful degradation to in-memory residency).
+    fn save(
+        &self,
+        _vfs: &dyn Vfs,
+        _path: &Path,
+        _stage: &str,
+        _fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        Ok(())
+    }
 }
 
 /// Everything a running stage sees: the pipeline configuration, the
-/// artifacts of its declared dependencies, and the run's telemetry
-/// registry.
+/// artifacts of its declared dependencies, the run's worker count and its
+/// telemetry registry.
 #[derive(Debug)]
 pub struct StageCtx<'a> {
     /// The full pipeline configuration.
     pub config: &'a PipelineConfig,
     /// Dependency artifacts, in [`Stage::deps`] order.
-    pub(crate) deps: Vec<Artifact>,
+    deps: &'a [ErasedArtifact],
+    /// Worker threads the run resolved once, for stage interiors.
+    threads: usize,
     /// The run's metrics registry (write-only from stages).
-    pub(crate) telemetry: &'a Telemetry,
+    telemetry: &'a Telemetry,
 }
 
 impl StageCtx<'_> {
@@ -168,25 +157,29 @@ impl StageCtx<'_> {
         self.telemetry
     }
 
-    /// Downcasts the `index`-th dependency (in [`Stage::deps`] order) to
-    /// its concrete type.
+    /// An executor fanning the stage's interior chunks out over the run's
+    /// workers, counting them under `label`.
+    pub fn exec<'b>(&'b self, label: &'b str) -> EngineExec<'b> {
+        EngineExec::new(self.threads, self.telemetry, label)
+    }
+
+    /// The `index`-th dependency (in [`Stage::deps`] order) as its
+    /// concrete type.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the index is out of range or the type does not match
-    /// the producing stage's artifact type — both are wiring errors in
-    /// the stage definitions, caught by every test that runs the
-    /// pipeline.
-    // analyze: allow(panic): wiring errors in the static stage graph must
-    // abort loudly (documented above); every pipeline test exercises the
-    // full graph, so a bad index or artifact type cannot reach a run
-    pub fn dep<T: Any + Send + Sync>(&self, index: usize) -> Arc<T> {
-        self.deps
+    /// [`StageError::Wiring`] when the stage declared no dependency at
+    /// `index` or the producing stage's artifact is not a `T`.
+    pub fn dep<T: Artifact>(&self, index: usize) -> Result<Arc<T>, StageError> {
+        let wiring = |detail: String| StageError::Wiring { detail };
+        let dep = self
+            .deps
             .get(index)
-            .unwrap_or_else(|| panic!("stage declared no dependency at index {index}"))
-            .clone()
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("dependency {index} has an unexpected artifact type"))
+            .ok_or_else(|| wiring(format!("no dependency {index}")))?;
+        dep.clone().downcast().map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            wiring(format!("dependency {index} is not a `{ty}`"))
+        })
     }
 }
 
@@ -197,6 +190,9 @@ impl StageCtx<'_> {
 /// by [`Stage::seed`] (itself derived only from the config), so the
 /// artifact is identical however the scheduler interleaves stages.
 pub trait Stage: Send + Sync {
+    /// The artifact type this stage produces.
+    type Output: Artifact;
+
     /// Unique stage name; doubles as the dependency reference and the
     /// fingerprint discriminator.
     fn name(&self) -> String;
@@ -216,8 +212,8 @@ pub trait Stage: Send + Sync {
     /// # Errors
     ///
     /// A classified [`StageError`]; the scheduler retries retryable
-    /// failures per [`Stage::retry_policy`].
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError>;
+    /// failures.
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<Self::Output, StageError>;
 
     /// Checks the artifact's cross-layer invariants (called by the
     /// scheduler only when validation is active; timed separately).
@@ -225,68 +221,7 @@ pub trait Stage: Send + Sync {
     /// # Errors
     ///
     /// The violated invariant, as [`StageError::Invariant`].
-    fn validate(&self, _artifact: &Artifact, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
+    fn validate(&self, _out: &Self::Output, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
         Ok(())
-    }
-
-    /// How often the scheduler re-runs this stage after a retryable
-    /// failure. Stages are pure, so the default allows a couple of
-    /// retries everywhere.
-    fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::default()
-    }
-
-    /// A degradation note when the artifact is usable but partial (e.g.
-    /// a collection that lost monitors to an outage but kept quorum).
-    /// Recorded in the [`StageReport`]; `None` means fully healthy.
-    fn health(&self, _artifact: &Artifact) -> Option<String> {
-        None
-    }
-
-    /// A one-line summary of collection anomalies survived while
-    /// producing the artifact, for `--trace`. `None` when clean.
-    fn anomalies(&self, _artifact: &Artifact) -> Option<String> {
-        None
-    }
-
-    /// Artifact size in stage-specific items, for the [`StageReport`].
-    fn artifact_items(&self, _artifact: &Artifact) -> usize {
-        1
-    }
-
-    /// Approximate artifact heap size in bytes, for the store's
-    /// resident-bytes gauge and spill decisions. `0` = unknown (the
-    /// artifact is never evicted on its size).
-    fn artifact_bytes(&self, _artifact: &Artifact) -> usize {
-        0
-    }
-
-    /// Attempts to reload this stage's artifact from the on-disk cache.
-    /// Stages without a persistent form return [`CacheLoad::Miss`]; an
-    /// entry that exists but fails any integrity check must be reported
-    /// as [`CacheLoad::Corrupt`] (never folded into a miss) so the
-    /// scheduler quarantines and counts it before regenerating.
-    fn load_cached(&self, _cache: &DiskCache<'_>, _fp: Fingerprint) -> CacheLoad {
-        CacheLoad::Miss
-    }
-
-    /// Persists the artifact to the on-disk cache through the envelope
-    /// writer. [`SaveOutcome::Saved`] makes the in-memory entry safe to
-    /// evict under a store memory budget; [`SaveOutcome::Failed`] makes
-    /// the scheduler disable spill for the rest of the run (graceful
-    /// degradation to in-memory residency).
-    fn save_cached(
-        &self,
-        _artifact: &Artifact,
-        _cache: &DiskCache<'_>,
-        _fp: Fingerprint,
-    ) -> SaveOutcome {
-        SaveOutcome::Unsupported
-    }
-}
-
-impl std::fmt::Debug for dyn Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Stage({})", self.name())
     }
 }

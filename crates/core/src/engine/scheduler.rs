@@ -10,15 +10,16 @@
 
 use super::fingerprint::{config_fingerprint, stage_fingerprint, Fingerprint};
 use super::store::ArtifactStore;
-use super::supervise::{self, StageError};
-use super::{Artifact, CacheLoad, DiskCache, SaveOutcome, Stage, StageCtx};
+use super::supervise::{into_pipeline_error, StageError, MAX_RETRIES};
+use super::{Artifact, ErasedArtifact, Stage, StageCtx};
+use crate::io::{self, CacheRead};
 use crate::pipeline::{PipelineConfig, PipelineError};
 use crate::telemetry::{Stopwatch, Telemetry};
 use geotopo_stats::ChunkExec;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How a stage's artifact was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,461 +132,416 @@ pub fn threads_env_warning() -> Option<String> {
     })
 }
 
-/// Shared scheduler state behind the lock.
+/// What every stage attempt of one [`execute`] call shares: the
+/// configuration and its fingerprint, the validation switch, the
+/// resolved worker count, the store and the telemetry registry.
+#[derive(Debug)]
+pub struct RunCtx<'a> {
+    config: &'a PipelineConfig,
+    config_fp: Fingerprint,
+    validate: bool,
+    threads: usize,
+    store: Option<&'a ArtifactStore>,
+    telemetry: &'a Telemetry,
+}
+
+/// The object-safe face of a [`Stage`], for the scheduler. Its one
+/// blanket impl is the only place a stage's [`Stage::Output`] is erased
+/// to an [`ErasedArtifact`].
+pub trait ErasedStage: Send + Sync {
+    /// The stage's [`Stage::name`].
+    fn name(&self) -> String;
+
+    /// The stage's [`Stage::deps`].
+    fn deps(&self) -> Vec<String>;
+
+    /// One attempt (0-based) of the stage's cache cascade: memory hit →
+    /// disk hit → compute, validate, spill and store.
+    ///
+    /// # Errors
+    ///
+    /// The stage's classified failure, or an injected fault-plan failure.
+    fn attempt(
+        &self,
+        run: &RunCtx<'_>,
+        deps: &[ErasedArtifact],
+        attempt: u32,
+    ) -> Result<(ErasedArtifact, StageReport), StageError>;
+}
+
+impl<S: Stage> ErasedStage for S {
+    fn name(&self) -> String {
+        Stage::name(self)
+    }
+
+    fn deps(&self) -> Vec<String> {
+        Stage::deps(self)
+    }
+
+    fn attempt(
+        &self,
+        run: &RunCtx<'_>,
+        deps: &[ErasedArtifact],
+        attempt: u32,
+    ) -> Result<(ErasedArtifact, StageReport), StageError> {
+        cascade(self, run, deps, attempt).map(|(a, report)| (a as ErasedArtifact, report))
+    }
+}
+
+impl std::fmt::Debug for dyn ErasedStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Stage({})", self.name())
+    }
+}
+
+/// The artifacts one [`execute`] call produced, by stage name.
+#[derive(Debug)]
+pub struct Artifacts(HashMap<String, ErasedArtifact>);
+
+impl Artifacts {
+    /// Removes the artifact of stage `name`, as its concrete type.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Wiring`] when no stage of that name produced a
+    /// `T`.
+    pub fn take<T: Artifact>(&mut self, name: &str) -> Result<Arc<T>, PipelineError> {
+        let artifact = self.0.remove(name).and_then(|a| a.downcast().ok());
+        artifact.ok_or_else(|| PipelineError::Wiring {
+            stage: name.to_string(),
+            detail: format!("produced no `{}`", std::any::type_name::<T>()),
+        })
+    }
+}
+
+/// The scheduler's progress, behind one lock.
 struct SchedState {
     indegree: Vec<usize>,
     ready: BTreeSet<usize>,
-    results: Vec<Option<Artifact>>,
+    results: Vec<Option<ErasedArtifact>>,
     reports: Vec<Option<StageReport>>,
     done: usize,
     error: Option<PipelineError>,
 }
 
-/// Executes a stage graph, returning each stage's artifact and report in
-/// the order the stages were given.
+/// Executes a stage graph, returning every stage's artifact and, in
+/// stage order, its report.
 ///
-/// `threads <= 1` runs the legacy sequential path (lowest-index-first,
-/// same order every time); otherwise up to `threads` scoped workers
-/// claim ready stages concurrently, always picking the lowest-index
-/// ready stage. Dependencies are resolved by name against the given
-/// slice, which must be topologically ordered consistent with `deps()`
-/// (the builder in [`pipeline_stages`](super::pipeline_stages)
-/// guarantees this).
+/// One scheduler loop runs at every worker count: up to `threads`
+/// workers claim the lowest-index ready stage, and the calling thread is
+/// worker 0, so a 1-worker run spawns no thread and runs the stages in
+/// list order. Dependencies resolve by name against *earlier* stages
+/// only (the builder in [`pipeline_stages`](super::pipeline_stages)
+/// lists every stage after its dependencies), so the graph is acyclic
+/// before anything runs.
 ///
 /// # Errors
 ///
-/// The first stage failure short-circuits the run: workers drain and the
-/// error is returned. Already-completed artifacts stay in the store (if
-/// one was given), so a retry resumes where it left off.
-///
-/// # Panics
-///
-/// Panics if a declared dependency names no stage in the slice, or if
-/// the dependency graph is cyclic — both are programming errors in the
-/// stage list, not runtime conditions.
+/// [`PipelineError::Wiring`] naming the first stage with a dependency
+/// that names no earlier stage (an unknown name or a cycle), before any
+/// stage runs. Otherwise the first stage failure short-circuits the run:
+/// workers drain and the error is returned. Already-completed artifacts
+/// stay in the store (if one was given), so a retry resumes where it
+/// left off.
 pub fn execute(
-    stages: &[Box<dyn Stage>],
+    stages: &[Box<dyn ErasedStage>],
     config: &PipelineConfig,
     validate: bool,
     threads: usize,
     store: Option<&ArtifactStore>,
     telemetry: &Telemetry,
-) -> Result<(Vec<Artifact>, Vec<StageReport>), PipelineError> {
+) -> Result<(Artifacts, Vec<StageReport>), PipelineError> {
     let n = stages.len();
     let names: Vec<String> = stages.iter().map(|s| s.name()).collect();
-    let index: HashMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| (name.as_str(), i))
-        .collect();
-    let deps: Vec<Vec<usize>> = stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.deps()
-                .iter()
-                .map(|d| {
-                    *index.get(d.as_str()).unwrap_or_else(|| {
-                        panic!("stage `{}` depends on unknown stage `{d}`", names[i])
-                    })
-                })
-                .collect()
-        })
-        .collect();
+    let deps = resolve_deps(stages, &names)?;
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indegree: Vec<usize> = vec![0; n];
     for (i, ds) in deps.iter().enumerate() {
-        indegree[i] = ds.len();
         for &d in ds {
             dependents[d].push(i);
         }
     }
+    let run = RunCtx {
+        config,
+        config_fp: config_fingerprint(config),
+        validate,
+        threads,
+        store,
+        telemetry,
+    };
     // An ordered set popped from the front is the lowest-index-first
-    // ready queue the old BinaryHeap<Reverse<..>> implemented — and
-    // GT-LINT-011 keeps BinaryHeap out of everything but the routing
-    // reference solver.
-    let ready: BTreeSet<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let config_fp = config_fingerprint(config);
-
-    if threads <= 1 {
-        return execute_sequential(
-            stages,
-            config,
-            config_fp,
-            validate,
-            store,
-            telemetry,
-            &deps,
-            &dependents,
-            indegree,
-            ready,
-        );
-    }
-
+    // ready queue — GT-LINT-011 keeps BinaryHeap out of everything but
+    // the routing reference solver.
     let state = Mutex::new(SchedState {
-        indegree,
-        ready,
-        results: (0..n).map(|_| None).collect(),
+        indegree: deps.iter().map(Vec::len).collect(),
+        ready: (0..n).filter(|&i| deps[i].is_empty()).collect(),
+        results: vec![None; n],
         reports: vec![None; n],
         done: 0,
         error: None,
     });
-    let cvar = Condvar::new();
-    let workers = threads.min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                // Claim the lowest-index ready stage, or exit when the
-                // run is complete or failed.
-                let (i, dep_artifacts) = {
-                    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                    loop {
-                        if st.error.is_some() || st.done == n {
-                            return;
-                        }
-                        if let Some(i) = st.ready.pop_first() {
-                            let dep_artifacts: Vec<Artifact> = deps[i]
-                                .iter()
-                                // lint: allow(unwrap): indegree hit 0, so every dependency result is filled
-                                .map(|&d| st.results[d].clone().expect("dependency completed"))
-                                .collect();
-                            break (i, dep_artifacts);
-                        }
-                        st = cvar.wait(st).unwrap_or_else(PoisonError::into_inner);
-                    }
-                };
-                let outcome = run_stage(
-                    &*stages[i],
-                    config,
-                    config_fp,
-                    validate,
-                    store,
-                    telemetry,
-                    dep_artifacts,
-                );
-                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                match outcome {
-                    Ok((artifact, report)) => {
-                        st.results[i] = Some(artifact);
-                        st.reports[i] = Some(report);
-                        st.done += 1;
-                        for &j in &dependents[i] {
-                            st.indegree[j] -= 1;
-                            if st.indegree[j] == 0 {
-                                st.ready.insert(j);
-                            }
-                        }
-                        cvar.notify_all();
-                    }
-                    Err(e) => {
-                        if st.error.is_none() {
-                            st.error = Some(e);
-                        }
-                        cvar.notify_all();
-                        return;
+    let wake = Condvar::new();
+    let work = || loop {
+        // Claim the lowest-index ready stage, or exit when the run is
+        // complete or failed.
+        let (i, dep_artifacts) = {
+            let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+            loop {
+                if st.error.is_some() || st.done == n {
+                    return;
+                }
+                if let Some(i) = st.ready.pop_first() {
+                    // Indegree hit 0, so every dependency result is filled.
+                    let ds: Vec<ErasedArtifact> = deps[i]
+                        .iter()
+                        .filter_map(|&d| st.results[d].clone())
+                        .collect();
+                    break (i, ds);
+                }
+                st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let outcome = run_stage(&*stages[i], &run, &dep_artifacts);
+        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+        match outcome {
+            Ok((artifact, report)) => {
+                st.results[i] = Some(artifact);
+                st.reports[i] = Some(report);
+                st.done += 1;
+                for &j in &dependents[i] {
+                    st.indegree[j] -= 1;
+                    if st.indegree[j] == 0 {
+                        st.ready.insert(j);
                     }
                 }
-            });
+            }
+            Err(e) => {
+                st.error.get_or_insert(e);
+            }
         }
+        wake.notify_all();
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.min(n) {
+            s.spawn(work);
+        }
+        work();
     });
     let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = st.error {
         return Err(e);
     }
-    assert_eq!(st.done, n, "stage graph is cyclic or disconnected");
     record_store_gauges(store, telemetry);
-    Ok(collect(st.results, st.reports))
+    let artifacts = names.into_iter().zip(st.results);
+    Ok((
+        Artifacts(artifacts.filter_map(|(name, a)| Some((name, a?))).collect()),
+        st.reports.into_iter().flatten().collect(),
+    ))
+}
+
+/// Resolves each stage's dependency names to the indices of *earlier*
+/// stages, so no cycle can reach the scheduler loop.
+fn resolve_deps(
+    stages: &[Box<dyn ErasedStage>],
+    names: &[String],
+) -> Result<Vec<Vec<usize>>, PipelineError> {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut resolved = Vec::with_capacity(stages.len());
+    for (i, (stage, name)) in stages.iter().zip(names).enumerate() {
+        let mut deps = Vec::new();
+        for d in stage.deps() {
+            let Some(&j) = index.get(d.as_str()) else {
+                return Err(PipelineError::Wiring {
+                    stage: name.clone(),
+                    detail: format!("depends on `{d}`, which names no earlier stage"),
+                });
+            };
+            deps.push(j);
+        }
+        resolved.push(deps);
+        index.insert(name, i);
+    }
+    Ok(resolved)
 }
 
 /// Records the store's end-of-run footprint and durability gauges.
 /// Written once after every stage has completed, so the values depend
-/// only on what was stored (and evicted, quarantined, degraded), never
-/// on worker interleaving.
+/// only on what was stored (and quarantined, degraded), never on worker
+/// interleaving.
 fn record_store_gauges(store: Option<&ArtifactStore>, telemetry: &Telemetry) {
     if let Some(store) = store {
         telemetry.gauge("engine.store.resident_bytes", store.resident_bytes() as f64);
-        telemetry.gauge("engine.store.spill_evictions", store.evictions() as f64);
         telemetry.gauge("engine.store.tmp_swept", store.tmp_swept() as f64);
         // 1.0 = the store latched off spilling mid-run (the per-reason
         // transition counter `engine.store.spill_disabled.<reason>`
         // names why).
+        let disabled = store.spill_disabled_reason().is_some();
         telemetry.gauge(
             "engine.store.spill_disabled",
-            if store.spill_disabled_reason().is_some() {
-                1.0
-            } else {
-                0.0
-            },
+            if disabled { 1.0 } else { 0.0 },
         );
     }
 }
 
-/// The `threads <= 1` path: one stage at a time, lowest index first.
-#[allow(clippy::too_many_arguments)]
-fn execute_sequential(
-    stages: &[Box<dyn Stage>],
-    config: &PipelineConfig,
-    config_fp: Fingerprint,
-    validate: bool,
-    store: Option<&ArtifactStore>,
-    telemetry: &Telemetry,
-    deps: &[Vec<usize>],
-    dependents: &[Vec<usize>],
-    mut indegree: Vec<usize>,
-    mut ready: BTreeSet<usize>,
-) -> Result<(Vec<Artifact>, Vec<StageReport>), PipelineError> {
-    let n = stages.len();
-    let mut results: Vec<Option<Artifact>> = (0..n).map(|_| None).collect();
-    let mut reports: Vec<Option<StageReport>> = vec![None; n];
-    let mut done = 0;
-    while let Some(i) = ready.pop_first() {
-        let dep_artifacts: Vec<Artifact> = deps[i]
-            .iter()
-            // lint: allow(unwrap): indegree hit 0, so every dependency result is filled
-            .map(|&d| results[d].clone().expect("dependency completed"))
-            .collect();
-        let (artifact, report) = run_stage(
-            &*stages[i],
-            config,
-            config_fp,
-            validate,
-            store,
-            telemetry,
-            dep_artifacts,
-        )?;
-        results[i] = Some(artifact);
-        reports[i] = Some(report);
-        done += 1;
-        for &j in &dependents[i] {
-            indegree[j] -= 1;
-            if indegree[j] == 0 {
-                ready.insert(j);
-            }
-        }
-    }
-    assert_eq!(done, n, "stage graph is cyclic or disconnected");
-    record_store_gauges(store, telemetry);
-    Ok(collect(results, reports))
-}
-
-// lint: allow(unwrap): callers assert done == n before collecting, so every
-// slot is filled — the item-scoped marker covers both expect sites below
-fn collect(
-    results: Vec<Option<Artifact>>,
-    reports: Vec<Option<StageReport>>,
-) -> (Vec<Artifact>, Vec<StageReport>) {
-    (
-        results
-            .into_iter()
-            .map(|a| a.expect("all stages completed"))
-            .collect(),
-        reports
-            .into_iter()
-            .map(|r| r.expect("all stages completed"))
-            .collect(),
-    )
-}
-
-/// Supervised stage execution: runs the stage through the cache cascade,
-/// retrying retryable [`StageError`]s per the stage's policy, and
-/// converting whatever survives supervision into a [`PipelineError`] at
-/// this boundary. Injected failures from the fault plan
-/// (`config.faults.stage_failures`) fail the first N compute attempts;
-/// cache hits never fail — fetching an artifact is not an execution.
-#[allow(clippy::too_many_arguments)]
+/// Supervised stage execution: retries retryable [`StageError`]s up to
+/// [`MAX_RETRIES`] times and converts whatever survives supervision into
+/// a [`PipelineError`] at this boundary.
 fn run_stage(
-    stage: &dyn Stage,
-    config: &PipelineConfig,
-    config_fp: Fingerprint,
-    validate: bool,
-    store: Option<&ArtifactStore>,
-    telemetry: &Telemetry,
-    deps: Vec<Artifact>,
-) -> Result<(Artifact, StageReport), PipelineError> {
-    let name = stage.name();
-    let policy = stage.retry_policy();
-    let injected = config.faults.failing_attempts(&name);
+    stage: &dyn ErasedStage,
+    run: &RunCtx<'_>,
+    deps: &[ErasedArtifact],
+) -> Result<(ErasedArtifact, StageReport), PipelineError> {
     let mut attempt: u32 = 0;
     loop {
-        match run_stage_once(
-            stage, config, config_fp, validate, store, telemetry, &deps, attempt, injected,
-        ) {
-            Ok((artifact, mut report)) => {
-                report.attempts = attempt + 1;
-                return Ok((artifact, report));
-            }
-            Err(e) if e.is_retryable() && attempt < policy.max_retries => {
-                telemetry.count("engine.stage.retries", 1);
+        match stage.attempt(run, deps, attempt) {
+            Ok(done) => return Ok(done),
+            Err(e) if e.is_retryable() && attempt < MAX_RETRIES => {
+                run.telemetry.count("engine.stage.retries", 1);
                 attempt += 1;
             }
-            Err(e) => return Err(supervise::into_pipeline_error(&name, attempt + 1, e)),
+            Err(e) => return Err(into_pipeline_error(&stage.name(), attempt + 1, e)),
         }
     }
 }
 
 /// One attempt of the cache cascade: memory hit → disk hit → compute
-/// (+ validate + store).
-#[allow(clippy::too_many_arguments)]
-fn run_stage_once(
-    stage: &dyn Stage,
-    config: &PipelineConfig,
-    config_fp: Fingerprint,
-    validate: bool,
-    store: Option<&ArtifactStore>,
-    telemetry: &Telemetry,
-    deps: &[Artifact],
+/// (+ validate + spill + store). Injected failures from the fault plan
+/// (`config.faults.stage_failures`) fail the first N compute attempts;
+/// cache hits never fail — fetching an artifact is not an execution.
+fn cascade<S: Stage>(
+    stage: &S,
+    run: &RunCtx<'_>,
+    deps: &[ErasedArtifact],
     attempt: u32,
-    injected: u32,
-) -> Result<(Artifact, StageReport), StageError> {
-    let name = stage.name();
-    let fp = stage_fingerprint(config_fp, &name);
-    let seed = stage.seed(config);
-    let report = |wall_ms: f64, validate_ms: f64, items: usize, cache: CacheStatus| StageReport {
-        stage: name.clone(),
-        fingerprint: fp.to_string(),
-        seed,
-        wall_ms,
-        validate_ms,
-        artifact_items: items,
-        cache,
-        attempts: 1,
-        degraded: None,
-        anomalies: None,
-        peak_rss_bytes: 0,
-        cache_note: None,
-    };
-    let finish = |artifact: Artifact, mut r: StageReport| {
-        r.degraded = stage.health(&artifact);
-        r.anomalies = stage.anomalies(&artifact);
-        r.peak_rss_bytes = match crate::telemetry::peak_rss_bytes() {
-            Some(bytes) => bytes,
-            None => {
-                // Degrade loudly: a 0 in the report plus a counter, not
-                // a silently wrong measurement.
-                telemetry.count("engine.rss.unavailable", 1);
-                0
-            }
-        };
-        (artifact, r)
-    };
+) -> Result<(Arc<S::Output>, StageReport), StageError> {
+    let name = Stage::name(stage);
+    let fp = stage_fingerprint(run.config_fp, &name);
+    let t = run.telemetry;
     // A durability incident survived on this attempt (quarantined entry,
     // disabled spill) — attached to the recompute report.
     let mut cache_note: Option<String> = None;
     let sw = Stopwatch::start();
-    if let Some(store) = store {
-        if let Some(artifact) = store.get(fp) {
-            store.record(CacheStatus::HitMemory);
-            telemetry.count("engine.cache.hit_memory", 1);
-            let items = stage.artifact_items(&artifact);
-            let r = report(sw.elapsed_ms(), 0.0, items, CacheStatus::HitMemory);
-            return Ok(finish(artifact, r));
-        }
-        if let Some(dir) = store.disk_dir() {
-            let cache = DiskCache {
-                dir,
-                vfs: store.vfs(),
+    let hit = run
+        .store
+        .and_then(|store| fetch::<S::Output>(store, t, fp, &name, &mut cache_note));
+    let (artifact, cache, wall_ms, validate_ms) = match hit {
+        Some((artifact, cache)) => (artifact, cache, sw.elapsed_ms(), 0.0),
+        None => {
+            if attempt < run.config.faults.failing_attempts(&name) {
+                t.count("engine.stage.injected_failures", 1);
+                return Err(StageError::Transient {
+                    detail: format!("injected fault plan failure (attempt {})", attempt + 1),
+                });
+            }
+            let ctx = StageCtx {
+                config: run.config,
+                deps,
+                threads: run.threads,
+                telemetry: t,
             };
-            match stage.load_cached(&cache, fp) {
-                CacheLoad::Hit(artifact) => {
-                    // Reloaded entries are disk-backed by definition, so
-                    // they stay evictable under a memory budget.
-                    store.put_sized(fp, artifact.clone(), stage.artifact_bytes(&artifact), true);
-                    store.record(CacheStatus::HitDisk);
-                    telemetry.count("engine.cache.hit_disk", 1);
-                    let items = stage.artifact_items(&artifact);
-                    let r = report(sw.elapsed_ms(), 0.0, items, CacheStatus::HitDisk);
-                    return Ok(finish(artifact, r));
-                }
-                CacheLoad::Miss => {}
-                CacheLoad::Corrupt { path, reason } => {
-                    // Never resume from garbage: quarantine the damaged
-                    // entry, count it, and fall through to a clean
-                    // recompute (which re-publishes a fresh entry).
-                    store.note_corrupt();
-                    telemetry.count("engine.store.corrupt_detected", 1);
-                    let moved = store.quarantine(&path);
-                    if moved.is_some() {
-                        telemetry.count("engine.store.quarantined", 1);
-                    }
-                    cache_note = Some(format!(
-                        "corrupt cache entry {}: {reason}",
-                        if moved.is_some() {
-                            "quarantined and regenerated"
-                        } else {
-                            "regenerated in place"
+            let artifact = Arc::new(stage.run(&ctx)?);
+            let wall_ms = sw.elapsed_ms();
+            let mut validate_ms = 0.0;
+            if run.validate {
+                // Validation time is reported separately from compute time.
+                let vsw = Stopwatch::start();
+                stage.validate(&artifact, &ctx)?;
+                validate_ms = vsw.elapsed_ms();
+            }
+            if let Some(store) = run.store {
+                store.record(CacheStatus::Miss);
+                if let Some(dir) = store.spill_target() {
+                    let path = io::dataset_cache_path(dir, &fp.to_string(), &name);
+                    if let Err(e) = artifact.save(store.vfs(), &path, &name, fp) {
+                        // Graceful degradation: latch spill off for the
+                        // rest of the run and keep everything resident —
+                        // the pipeline completes byte-identically, just
+                        // without a disk cache.
+                        let reason = io::degrade_reason(&e);
+                        if store.disable_spill(reason) {
+                            t.count(&format!("engine.store.spill_disabled.{reason}"), 1);
                         }
-                    ));
-                }
-            }
-        }
-    }
-    if attempt < injected {
-        telemetry.count("engine.stage.injected_failures", 1);
-        return Err(StageError::Transient {
-            detail: format!("injected fault plan failure (attempt {})", attempt + 1),
-        });
-    }
-    let ctx = StageCtx {
-        config,
-        deps: deps.to_vec(),
-        telemetry,
-    };
-    let artifact = stage.run(&ctx)?;
-    let wall_ms = sw.elapsed_ms();
-    let mut validate_ms = 0.0;
-    if validate {
-        // Validation time is reported separately from compute time.
-        let vsw = Stopwatch::start();
-        stage.validate(&artifact, &ctx)?;
-        validate_ms = vsw.elapsed_ms();
-    }
-    if let Some(store) = store {
-        store.record(CacheStatus::Miss);
-        // Spill before insert: an entry is evictable only once its disk
-        // copy is confirmed durably published (atomic envelope write).
-        let mut spillable = false;
-        if let Some(dir) = store.spill_target() {
-            let cache = DiskCache {
-                dir,
-                vfs: store.vfs(),
-            };
-            match stage.save_cached(&artifact, &cache, fp) {
-                SaveOutcome::Saved => spillable = true,
-                SaveOutcome::Unsupported => {}
-                SaveOutcome::Failed { reason, detail } => {
-                    // Graceful degradation: latch spill off for the rest
-                    // of the run and keep everything resident — the
-                    // pipeline completes byte-identically, just without
-                    // a disk cache.
-                    if store.disable_spill(reason) {
-                        telemetry.count(&format!("engine.store.spill_disabled.{reason}"), 1);
+                        cache_note = Some(format!(
+                            "spill disabled ({reason}), artifacts stay in memory: {e}"
+                        ));
                     }
-                    cache_note = Some(format!(
-                        "spill disabled ({reason}), artifacts stay in memory: {detail}"
-                    ));
                 }
+                store.put(fp, artifact.clone(), artifact.heap_bytes());
             }
+            t.count("engine.cache.miss", 1);
+            t.span_record(&format!("stage.{name}"), wall_ms);
+            (artifact, CacheStatus::Miss, wall_ms, validate_ms)
         }
-        store.put_sized(
-            fp,
-            artifact.clone(),
-            stage.artifact_bytes(&artifact),
-            spillable,
-        );
+    };
+    let peak_rss_bytes = crate::telemetry::peak_rss_bytes().unwrap_or_else(|| {
+        // Degrade loudly: a 0 in the report plus a counter, not a
+        // silently wrong measurement.
+        t.count("engine.rss.unavailable", 1);
+        0
+    });
+    let report = StageReport {
+        stage: name,
+        fingerprint: fp.to_string(),
+        seed: stage.seed(run.config),
+        wall_ms,
+        validate_ms,
+        artifact_items: artifact.items(),
+        cache,
+        attempts: attempt + 1,
+        degraded: artifact.health(),
+        anomalies: artifact.anomalies(),
+        peak_rss_bytes,
+        cache_note,
+    };
+    Ok((artifact, report))
+}
+
+/// The cache half of the cascade: a memory hit, else a disk hit
+/// (re-inserted into memory). A corrupt entry is never resumed from: it
+/// is counted, quarantined and noted in `cache_note`, and the stage
+/// recomputes (which re-publishes a fresh entry).
+fn fetch<T: Artifact>(
+    store: &ArtifactStore,
+    t: &Telemetry,
+    fp: Fingerprint,
+    name: &str,
+    cache_note: &mut Option<String>,
+) -> Option<(Arc<T>, CacheStatus)> {
+    if let Some(artifact) = store.get::<T>(fp) {
+        store.record(CacheStatus::HitMemory);
+        t.count("engine.cache.hit_memory", 1);
+        return Some((artifact, CacheStatus::HitMemory));
     }
-    telemetry.count("engine.cache.miss", 1);
-    telemetry.span_record(&format!("stage.{name}"), wall_ms);
-    let items = stage.artifact_items(&artifact);
-    let mut r = report(wall_ms, validate_ms, items, CacheStatus::Miss);
-    r.cache_note = cache_note;
-    Ok(finish(artifact, r))
+    let path = io::dataset_cache_path(store.disk_dir()?, &fp.to_string(), name);
+    match T::load(store.vfs(), &path, name, fp) {
+        CacheRead::Hit(value) => {
+            let artifact = Arc::new(value);
+            store.put(fp, artifact.clone(), artifact.heap_bytes());
+            store.record(CacheStatus::HitDisk);
+            t.count("engine.cache.hit_disk", 1);
+            Some((artifact, CacheStatus::HitDisk))
+        }
+        CacheRead::Miss => None,
+        CacheRead::Corrupt(reason) => {
+            store.note_corrupt();
+            t.count("engine.store.corrupt_detected", 1);
+            let fate = match store.quarantine(&path) {
+                Some(_) => {
+                    t.count("engine.store.quarantined", 1);
+                    "quarantined and regenerated"
+                }
+                None => "regenerated in place",
+            };
+            *cache_note = Some(format!("corrupt cache entry {fate}: {reason}"));
+            None
+        }
+    }
 }
 
 /// Runs `n` independent jobs on up to `threads` scoped workers,
 /// returning results in job order regardless of completion order.
 ///
-/// With `threads <= 1` (or a single job) the jobs run sequentially on
-/// the calling thread — the legacy path. Jobs must be independently
+/// With `threads <= 1` (or a single job) the jobs run in order on the
+/// calling thread and no worker is spawned. Jobs must be independently
 /// deterministic: nothing about worker assignment may leak into their
 /// output.
 pub fn parallel_map<T, F>(threads: usize, n: usize, job: F) -> Vec<T>
@@ -687,6 +643,113 @@ impl ChunkExec for EngineExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::NearestHints;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    impl Artifact for ThreadId {}
+
+    /// A test stage `(name, deps, misread)` returning the id of the
+    /// thread it ran on, after reading its first dependency as a
+    /// `ThreadId` (or, when `misread`, as the wrong type).
+    struct Probe(&'static str, &'static [&'static str], bool);
+
+    impl Stage for Probe {
+        type Output = ThreadId;
+
+        fn name(&self) -> String {
+            self.0.into()
+        }
+
+        fn deps(&self) -> Vec<String> {
+            self.1.iter().map(|d| d.to_string()).collect()
+        }
+
+        fn seed(&self, _config: &PipelineConfig) -> u64 {
+            0
+        }
+
+        fn run(&self, ctx: &StageCtx<'_>) -> Result<ThreadId, StageError> {
+            if self.2 {
+                ctx.dep::<NearestHints>(0)?;
+            } else if !self.1.is_empty() {
+                ctx.dep::<ThreadId>(0)?;
+            }
+            Ok(std::thread::current().id())
+        }
+    }
+
+    fn probe(name: &'static str, deps: &'static [&'static str]) -> Box<dyn ErasedStage> {
+        Box::new(Probe(name, deps, false))
+    }
+
+    type Executed = Result<(Artifacts, Vec<StageReport>), PipelineError>;
+
+    /// Executes `stages` on a fresh thread, returning that thread's id
+    /// and the result; a run that hangs fails the test instead of the
+    /// suite.
+    fn execute_with_timeout(
+        stages: Vec<Box<dyn ErasedStage>>,
+        threads: usize,
+    ) -> (ThreadId, Executed) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let config = PipelineConfig::tiny(1);
+            let result = execute(
+                &stages,
+                &config,
+                false,
+                threads,
+                None,
+                &Telemetry::disabled(),
+            );
+            let _ = tx.send((std::thread::current().id(), result));
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("execute neither returned nor panicked")
+    }
+
+    fn assert_wiring_error(result: Executed, expect_stage: &str) {
+        match result {
+            Err(PipelineError::Wiring { stage, .. }) => assert_eq!(stage, expect_stage),
+            other => panic!("expected a wiring error naming `{expect_stage}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_dependency_is_a_typed_error() {
+        for threads in [1, 4] {
+            let stages = vec![probe("a", &[]), probe("b", &["nope"])];
+            assert_wiring_error(execute_with_timeout(stages, threads).1, "b");
+        }
+    }
+
+    #[test]
+    fn dependency_cycle_is_a_typed_error() {
+        for threads in [1, 4] {
+            let stages = vec![probe("a", &["b"]), probe("b", &["a"])];
+            assert_wiring_error(execute_with_timeout(stages, threads).1, "a");
+        }
+    }
+
+    #[test]
+    fn wrong_dependency_type_is_a_typed_error() {
+        let misread = Box::new(Probe("b", &["a"], true));
+        let (_, result) = execute_with_timeout(vec![probe("a", &[]), misread], 1);
+        assert_wiring_error(result, "b");
+    }
+
+    #[test]
+    fn one_worker_runs_every_stage_on_the_calling_thread() {
+        let stages = vec![probe("a", &[]), probe("b", &["a"]), probe("c", &["a"])];
+        let (caller, result) = execute_with_timeout(stages, 1);
+        let (mut artifacts, reports) = result.expect("graph runs");
+        assert_eq!(reports.len(), 3);
+        for name in ["a", "b", "c"] {
+            let ran_on = artifacts.take::<ThreadId>(name).expect("typed artifact");
+            assert_eq!(*ran_on, caller, "stage {name} ran off the calling thread");
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_job_order() {

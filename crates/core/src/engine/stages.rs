@@ -17,17 +17,18 @@
 //!
 //! Stage bodies are verbatim extractions of the old `Pipeline::run`
 //! monolith — same seed derivations, same iteration orders — so the
-//! artifacts are byte-identical to the pre-engine pipeline.
+//! artifacts are byte-identical to the pre-engine pipeline. Next to each
+//! stage sits the [`Artifact`] impl of the type it produces.
 
-use super::scheduler::{resolve_threads, EngineExec};
-use super::supervise::{check_stage, StageError};
-use super::{artifact, Artifact, CacheLoad, DiskCache, Fingerprint, SaveOutcome, Stage, StageCtx};
-use crate::io::{self, CacheRead};
+use super::supervise::{check_invariant, StageError};
+use super::{Artifact, Fingerprint, Stage, StageCtx};
+use crate::io::{self, CacheRead, IoError};
 use crate::pipeline::{
     generation_regions, process_chunked, Collector, MapperKind, NearestHints, PipelineConfig,
-    PipelineStage, ProcessTelemetry, ProcessedDataset,
+    ProcessTelemetry, ProcessedDataset,
 };
 use crate::telemetry::Telemetry;
+use crate::vfs::Vfs;
 use geotopo_bgp::RouteTable;
 use geotopo_geomap::{EdgeScape, Gazetteer, GeoMapper, IxMapper, MapContext, OrgDb};
 use geotopo_measure::{FaultStats, RoutingStats};
@@ -38,6 +39,8 @@ use geotopo_measure::{
 use geotopo_population::PopulationGrid;
 use geotopo_query::QuerySnapshot;
 use geotopo_topology::generate::GroundTruth;
+use std::path::Path;
+use std::sync::Arc;
 
 /// Name of the world-generation stage (artifact: [`GroundTruth`]).
 pub const GROUND_TRUTH: &str = "ground-truth";
@@ -81,61 +84,6 @@ pub fn map_stage_name(mapper: MapperKind, collector: Collector) -> String {
     format!("map-{m}-{c}")
 }
 
-/// Downcasts a validated artifact, classifying a type mismatch as an
-/// invariant violation (a wiring error between stage and validator, not
-/// a runtime condition worth retrying).
-fn downcast<'a, T: std::any::Any>(
-    a: &'a Artifact,
-    stage: PipelineStage,
-    what: &str,
-) -> Result<&'a T, StageError> {
-    a.downcast_ref::<T>().ok_or_else(|| StageError::Invariant {
-        stage,
-        detail: format!("{what} artifact has an unexpected type"),
-    })
-}
-
-/// Probes one stage's enveloped cache entry, mapping the io-layer
-/// outcome onto the engine's three-valued [`CacheLoad`]. `check` runs
-/// stage-specific guards on a decoded value (fingerprint-collision and
-/// tamper defenses); a failed guard is a *corrupt* entry — quarantined
-/// and regenerated — never a silent cold miss.
-fn probe_cached<T, F>(cache: &DiskCache<'_>, name: &str, fp: Fingerprint, check: F) -> CacheLoad
-where
-    T: serde::Deserialize + std::any::Any + Send + Sync,
-    F: FnOnce(&T) -> Result<(), String>,
-{
-    let path = cache.entry_path(fp, name);
-    match io::load_json::<T>(cache.vfs, &path, name, fp) {
-        CacheRead::Hit(value) => match check(&value) {
-            Ok(()) => CacheLoad::Hit(artifact(value)),
-            Err(reason) => CacheLoad::Corrupt { path, reason },
-        },
-        CacheRead::Miss => CacheLoad::Miss,
-        CacheRead::Corrupt(reason) => CacheLoad::Corrupt { path, reason },
-    }
-}
-
-/// Persists one stage's artifact as an enveloped cache entry,
-/// classifying the outcome for the scheduler's degradation policy.
-fn persist_cached<T: serde::Serialize + 'static>(
-    a: &Artifact,
-    cache: &DiskCache<'_>,
-    name: &str,
-    fp: Fingerprint,
-) -> SaveOutcome {
-    match a.downcast_ref::<T>() {
-        Some(value) => SaveOutcome::from_save(io::save_json(
-            cache.vfs,
-            value,
-            &cache.entry_path(fp, name),
-            name,
-            fp,
-        )),
-        None => SaveOutcome::Unsupported,
-    }
-}
-
 /// The four (tool, collector) pairs in Table I order.
 pub(crate) const TABLE_I_ORDER: [(MapperKind, Collector); 4] = [
     (MapperKind::IxMapper, Collector::Mercator),
@@ -146,9 +94,9 @@ pub(crate) const TABLE_I_ORDER: [(MapperKind, Collector); 4] = [
 
 /// Builds the full stage graph for a configuration, topologically
 /// ordered (every stage appears after its dependencies).
-pub fn pipeline_stages(config: &PipelineConfig) -> Vec<Box<dyn Stage>> {
+pub fn pipeline_stages(config: &PipelineConfig) -> Vec<Box<dyn super::ErasedStage>> {
     let n_regions = config.world.regions.len();
-    let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(n_regions + 14);
+    let mut stages: Vec<Box<dyn super::ErasedStage>> = Vec::with_capacity(n_regions + 14);
     for region in 0..n_regions {
         stages.push(Box::new(PopGridStage { region }));
     }
@@ -175,6 +123,8 @@ struct PopGridStage {
 }
 
 impl Stage for PopGridStage {
+    type Output = PopulationGrid;
+
     fn name(&self) -> String {
         pop_grid_name(self.region)
     }
@@ -183,19 +133,18 @@ impl Stage for PopGridStage {
         config.world.seed.wrapping_add(1000 + self.region as u64)
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let grid = ctx.config.world.population_grid(self.region)?;
-        Ok(artifact(grid))
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<PopulationGrid, StageError> {
+        Ok(ctx.config.world.population_grid(self.region)?)
+    }
+}
+
+impl Artifact for PopulationGrid {
+    fn items(&self) -> usize {
+        self.cells().len()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<PopulationGrid>()
-            .map_or(0, |g| g.cells().len())
-    }
-
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<PopulationGrid>()
-            .map_or(0, PopulationGrid::mem_bytes)
+    fn heap_bytes(&self) -> usize {
+        self.mem_bytes()
     }
 }
 
@@ -205,6 +154,8 @@ struct GroundTruthStage {
 }
 
 impl Stage for GroundTruthStage {
+    type Output = GroundTruth;
+
     fn name(&self) -> String {
         GROUND_TRUTH.into()
     }
@@ -217,36 +168,36 @@ impl Stage for GroundTruthStage {
         config.world.seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let grids: Vec<std::sync::Arc<PopulationGrid>> =
-            (0..self.n_regions).map(|i| ctx.dep(i)).collect();
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<GroundTruth, StageError> {
+        let grids = (0..self.n_regions)
+            .map(|i| ctx.dep::<PopulationGrid>(i))
+            .collect::<Result<Vec<_>, _>>()?;
         let refs: Vec<&PopulationGrid> = grids.iter().map(|g| g.as_ref()).collect();
-        let t = ctx.telemetry();
-        let exec = EngineExec::new(resolve_threads(ctx.config.threads), t, GROUND_TRUTH);
+        let exec = ctx.exec(GROUND_TRUTH);
         let gt = GroundTruth::generate_with_grids_exec(ctx.config.world.clone(), &refs, &exec)?;
-        t.count("ground-truth.routers", gt.topology.num_routers() as u64);
-        Ok(artifact(gt))
+        ctx.telemetry()
+            .count("ground-truth.routers", gt.topology.num_routers() as u64);
+        Ok(gt)
     }
 
-    fn validate(&self, a: &Artifact, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
-        let gt: &GroundTruth = downcast(a, PipelineStage::GroundTruth, "ground truth")?;
-        check_stage(PipelineStage::GroundTruth, gt.topology.validate())
+    fn validate(&self, gt: &GroundTruth, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
+        check_invariant(gt.topology.validate())
+    }
+}
+
+impl Artifact for GroundTruth {
+    fn items(&self) -> usize {
+        self.topology.num_routers()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<GroundTruth>()
-            .map_or(0, |gt| gt.topology.num_routers())
+    fn heap_bytes(&self) -> usize {
+        self.mem_bytes()
     }
 
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<GroundTruth>()
-            .map_or(0, GroundTruth::mem_bytes)
-    }
-
-    fn load_cached(&self, cache: &DiskCache<'_>, fp: Fingerprint) -> CacheLoad {
+    fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
         // Guard against fingerprint collisions or a tampered file: the
         // embedded config must describe the same world size.
-        probe_cached(cache, &self.name(), fp, |gt: &GroundTruth| {
+        io::load_json(vfs, path, stage, fp).guard(|gt: &GroundTruth| {
             if gt.topology.num_routers() == gt.config.total_routers {
                 Ok(())
             } else {
@@ -259,8 +210,14 @@ impl Stage for GroundTruthStage {
         })
     }
 
-    fn save_cached(&self, a: &Artifact, cache: &DiskCache<'_>, fp: Fingerprint) -> SaveOutcome {
-        persist_cached::<GroundTruth>(a, cache, &self.name(), fp)
+    fn save(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        io::save_json(vfs, self, path, stage, fp)
     }
 }
 
@@ -268,6 +225,8 @@ impl Stage for GroundTruthStage {
 struct RouteTableStage;
 
 impl Stage for RouteTableStage {
+    type Output = RouteTable;
+
     fn name(&self) -> String {
         ROUTE_TABLE.into()
     }
@@ -280,37 +239,44 @@ impl Stage for RouteTableStage {
         config.route_table.seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<RouteTable, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
         let table = RouteTable::synthesize(&gt.allocations, &ctx.config.route_table);
         ctx.telemetry()
             .count("route-table.entries", table.len() as u64);
-        Ok(artifact(table))
+        Ok(table)
     }
 
-    fn validate(&self, a: &Artifact, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
-        let table: &RouteTable = downcast(a, PipelineStage::RouteTable, "route table")?;
-        check_stage(PipelineStage::RouteTable, table.validate())
+    fn validate(&self, table: &RouteTable, _ctx: &StageCtx<'_>) -> Result<(), StageError> {
+        check_invariant(table.validate())
+    }
+}
+
+impl Artifact for RouteTable {
+    fn items(&self) -> usize {
+        self.len()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<RouteTable>().map_or(0, |t| t.len())
-    }
-
-    fn load_cached(&self, cache: &DiskCache<'_>, fp: Fingerprint) -> CacheLoad {
+    fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
         // A thawed table is served to longest-prefix lookups without a
         // resynthesis pass, so its trie arena must be proven sound
         // first. `validate_structure` is the near-linear check (bounds,
         // acyclicity, entry reachability) — cheap enough to run on
         // every load, unlike the quadratic canonical `validate`.
-        probe_cached(cache, &self.name(), fp, |t: &RouteTable| {
+        io::load_json(vfs, path, stage, fp).guard(|t: &RouteTable| {
             t.validate_structure()
                 .map_err(|e| format!("deserialized route table failed structural validation: {e}"))
         })
     }
 
-    fn save_cached(&self, a: &Artifact, cache: &DiskCache<'_>, fp: Fingerprint) -> SaveOutcome {
-        persist_cached::<RouteTable>(a, cache, &self.name(), fp)
+    fn save(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        io::save_json(vfs, self, path, stage, fp)
     }
 }
 
@@ -318,6 +284,8 @@ impl Stage for RouteTableStage {
 struct OrgDbStage;
 
 impl Stage for OrgDbStage {
+    type Output = OrgDb;
+
     fn name(&self) -> String {
         ORG_DB.into()
     }
@@ -330,17 +298,19 @@ impl Stage for OrgDbStage {
         config.world.seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<OrgDb, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
         let mut orgs = OrgDb::new();
         for rec in &gt.as_records {
             orgs.insert(rec.asn, gt.as_name(rec.asn), rec.home);
         }
-        Ok(artifact(orgs))
+        Ok(orgs)
     }
+}
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<OrgDb>().map_or(0, |o| o.len())
+impl Artifact for OrgDb {
+    fn items(&self) -> usize {
+        self.len()
     }
 }
 
@@ -352,6 +322,8 @@ struct GazetteerStage {
 }
 
 impl Stage for GazetteerStage {
+    type Output = Gazetteer;
+
     fn name(&self) -> String {
         GAZETTEER.into()
     }
@@ -364,17 +336,19 @@ impl Stage for GazetteerStage {
         config.world.seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<Gazetteer, StageError> {
         let mut gazetteer = Gazetteer::builtin();
         for i in 0..self.n_regions {
-            let grid = ctx.dep::<PopulationGrid>(i);
+            let grid = ctx.dep::<PopulationGrid>(i)?;
             gazetteer.extend_from_population(&grid, 8_000.0);
         }
-        Ok(artifact(gazetteer))
+        Ok(gazetteer)
     }
+}
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<Gazetteer>().map_or(0, |g| g.len())
+impl Artifact for Gazetteer {
+    fn items(&self) -> usize {
+        self.len()
     }
 }
 
@@ -388,6 +362,8 @@ impl Stage for GazetteerStage {
 struct NearestHintsStage;
 
 impl Stage for NearestHintsStage {
+    type Output = NearestHints;
+
     fn name(&self) -> String {
         NEAREST_HINTS.into()
     }
@@ -401,24 +377,23 @@ impl Stage for NearestHintsStage {
         config.world.seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
-        let gazetteer = ctx.dep::<Gazetteer>(1);
-        let t = ctx.telemetry();
-        let exec = EngineExec::new(resolve_threads(ctx.config.threads), t, NEAREST_HINTS);
-        let hints = NearestHints::compute(&gt, &gazetteer, &exec);
-        t.count("nearest-hints.routers", hints.len() as u64);
-        Ok(artifact(hints))
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<NearestHints, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        let gazetteer = ctx.dep::<Gazetteer>(1)?;
+        let hints = NearestHints::compute(&gt, &gazetteer, &ctx.exec(NEAREST_HINTS));
+        ctx.telemetry()
+            .count("nearest-hints.routers", hints.len() as u64);
+        Ok(hints)
+    }
+}
+
+impl Artifact for NearestHints {
+    fn items(&self) -> usize {
+        self.len()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<NearestHints>()
-            .map_or(0, NearestHints::len)
-    }
-
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<NearestHints>()
-            .map_or(0, NearestHints::mem_bytes)
+    fn heap_bytes(&self) -> usize {
+        self.mem_bytes()
     }
 }
 
@@ -486,6 +461,8 @@ fn record_map_metrics(telemetry: &Telemetry, stage: &str, tally: &ProcessTelemet
 struct CollectSkitterStage;
 
 impl Stage for CollectSkitterStage {
+    type Output = SkitterOutput;
+
     fn name(&self) -> String {
         COLLECT_SKITTER.into()
     }
@@ -501,8 +478,8 @@ impl Stage for CollectSkitterStage {
             .map_or(config.world.seed ^ 0x51, |c| c.seed)
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<SkitterOutput, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
         let cfg = ctx
             .config
             .skitter
@@ -514,8 +491,7 @@ impl Stage for CollectSkitterStage {
         // all RNG is drawn in Skitter's serial prologue and results
         // merge in job-index order, so the bytes are identical at any
         // thread count.
-        let exec = EngineExec::new(resolve_threads(ctx.config.threads), t, COLLECT_SKITTER)
-            .with_span("stage.measure.skitter");
+        let exec = ctx.exec(COLLECT_SKITTER).with_span("stage.measure.skitter");
         let out = Skitter::collect_with_faults_exec(&gt, &cfg, &ctx.config.faults, &exec);
         let planned = out.monitors.len();
         let need = ctx.config.faults.quorum_monitors(planned);
@@ -543,54 +519,50 @@ impl Stage for CollectSkitterStage {
             "collect-skitter.destinations.discarded",
             out.discarded_destinations as u64,
         );
-        Ok(artifact(out))
+        Ok(out)
     }
 
-    fn validate(&self, a: &Artifact, ctx: &StageCtx<'_>) -> Result<(), StageError> {
-        let out: &SkitterOutput = downcast(a, PipelineStage::Collection, "skitter")?;
-        let gt = ctx.dep::<GroundTruth>(0);
-        check_stage(
-            PipelineStage::Collection,
-            out.dataset.validate_against(&gt.topology),
-        )
+    fn validate(&self, out: &SkitterOutput, ctx: &StageCtx<'_>) -> Result<(), StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        check_invariant(out.dataset.validate_against(&gt.topology))
+    }
+}
+
+impl Artifact for SkitterOutput {
+    fn items(&self) -> usize {
+        self.dataset.num_nodes()
     }
 
-    fn health(&self, a: &Artifact) -> Option<String> {
-        let out = a.downcast_ref::<SkitterOutput>()?;
-        if out.failed_monitors == 0 {
-            None
-        } else {
-            Some(format!(
+    fn heap_bytes(&self) -> usize {
+        self.dataset.mem_bytes()
+    }
+
+    fn health(&self) -> Option<String> {
+        (self.failed_monitors > 0).then(|| {
+            format!(
                 "quorum run: {}/{} monitors healthy",
-                out.active_monitors(),
-                out.monitors.len()
-            ))
-        }
+                self.active_monitors(),
+                self.monitors.len()
+            )
+        })
     }
 
-    fn anomalies(&self, a: &Artifact) -> Option<String> {
-        a.downcast_ref::<SkitterOutput>()?
-            .dataset
-            .anomalies
-            .summary()
+    fn anomalies(&self) -> Option<String> {
+        self.dataset.anomalies.summary()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<SkitterOutput>()
-            .map_or(0, |o| o.dataset.num_nodes())
+    fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
+        io::load_json(vfs, path, stage, fp)
     }
 
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<SkitterOutput>()
-            .map_or(0, |o| o.dataset.mem_bytes())
-    }
-
-    fn load_cached(&self, cache: &DiskCache<'_>, fp: Fingerprint) -> CacheLoad {
-        probe_cached(cache, &self.name(), fp, |_: &SkitterOutput| Ok(()))
-    }
-
-    fn save_cached(&self, a: &Artifact, cache: &DiskCache<'_>, fp: Fingerprint) -> SaveOutcome {
-        persist_cached::<SkitterOutput>(a, cache, &self.name(), fp)
+    fn save(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        io::save_json(vfs, self, path, stage, fp)
     }
 }
 
@@ -598,6 +570,8 @@ impl Stage for CollectSkitterStage {
 struct CollectMercatorStage;
 
 impl Stage for CollectMercatorStage {
+    type Output = MercatorOutput;
+
     fn name(&self) -> String {
         COLLECT_MERCATOR.into()
     }
@@ -613,8 +587,8 @@ impl Stage for CollectMercatorStage {
             .map_or(config.world.seed ^ 0x3E, |c| c.seed)
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<MercatorOutput, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
         let cfg = ctx
             .config
             .mercator
@@ -632,41 +606,40 @@ impl Stage for CollectMercatorStage {
             &out.dataset.anomalies.faults,
             &out.routing,
         );
-        Ok(artifact(out))
+        Ok(out)
     }
 
-    fn validate(&self, a: &Artifact, ctx: &StageCtx<'_>) -> Result<(), StageError> {
-        let out: &MercatorOutput = downcast(a, PipelineStage::Collection, "mercator")?;
-        let gt = ctx.dep::<GroundTruth>(0);
-        check_stage(
-            PipelineStage::Collection,
-            out.dataset.validate_against(&gt.topology),
-        )
+    fn validate(&self, out: &MercatorOutput, ctx: &StageCtx<'_>) -> Result<(), StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        check_invariant(out.dataset.validate_against(&gt.topology))
+    }
+}
+
+impl Artifact for MercatorOutput {
+    fn items(&self) -> usize {
+        self.dataset.num_nodes()
     }
 
-    fn anomalies(&self, a: &Artifact) -> Option<String> {
-        a.downcast_ref::<MercatorOutput>()?
-            .dataset
-            .anomalies
-            .summary()
+    fn heap_bytes(&self) -> usize {
+        self.dataset.mem_bytes()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<MercatorOutput>()
-            .map_or(0, |o| o.dataset.num_nodes())
+    fn anomalies(&self) -> Option<String> {
+        self.dataset.anomalies.summary()
     }
 
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<MercatorOutput>()
-            .map_or(0, |o| o.dataset.mem_bytes())
+    fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
+        io::load_json(vfs, path, stage, fp)
     }
 
-    fn load_cached(&self, cache: &DiskCache<'_>, fp: Fingerprint) -> CacheLoad {
-        probe_cached(cache, &self.name(), fp, |_: &MercatorOutput| Ok(()))
-    }
-
-    fn save_cached(&self, a: &Artifact, cache: &DiskCache<'_>, fp: Fingerprint) -> SaveOutcome {
-        persist_cached::<MercatorOutput>(a, cache, &self.name(), fp)
+    fn save(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        io::save_json(vfs, self, path, stage, fp)
     }
 }
 
@@ -674,6 +647,8 @@ impl Stage for CollectMercatorStage {
 struct MapperIxStage;
 
 impl Stage for MapperIxStage {
+    type Output = IxMapper;
+
     fn name(&self) -> String {
         MAPPER_IXMAPPER.into()
     }
@@ -686,16 +661,20 @@ impl Stage for MapperIxStage {
         config.mapper_seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let mapper = IxMapper::with_gazetteer(ctx.config.mapper_seed, ctx.dep(0), ctx.dep(1));
-        Ok(artifact(mapper))
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<IxMapper, StageError> {
+        let seed = ctx.config.mapper_seed;
+        Ok(IxMapper::with_gazetteer(seed, ctx.dep(0)?, ctx.dep(1)?))
     }
 }
+
+impl Artifact for IxMapper {}
 
 /// Constructs the EdgeScape tool over the shared registry and gazetteer.
 struct MapperEsStage;
 
 impl Stage for MapperEsStage {
+    type Output = EdgeScape;
+
     fn name(&self) -> String {
         MAPPER_EDGESCAPE.into()
     }
@@ -708,12 +687,13 @@ impl Stage for MapperEsStage {
         config.mapper_seed ^ 0x77
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let mapper =
-            EdgeScape::with_gazetteer(ctx.config.mapper_seed ^ 0x77, ctx.dep(0), ctx.dep(1));
-        Ok(artifact(mapper))
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<EdgeScape, StageError> {
+        let seed = ctx.config.mapper_seed ^ 0x77;
+        Ok(EdgeScape::with_gazetteer(seed, ctx.dep(0)?, ctx.dep(1)?))
     }
 }
+
+impl Artifact for EdgeScape {}
 
 /// Produces one processed (geolocated, AS-labelled) dataset — the unit
 /// of Table I. The four instances are independent and run concurrently.
@@ -739,6 +719,8 @@ impl MapStage {
 }
 
 impl Stage for MapStage {
+    type Output = ProcessedDataset;
+
     fn name(&self) -> String {
         map_stage_name(self.mapper, self.collector)
     }
@@ -760,111 +742,71 @@ impl Stage for MapStage {
         }
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
-        let table = ctx.dep::<RouteTable>(1);
-        let hints = ctx.dep::<NearestHints>(4);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<ProcessedDataset, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        let table = ctx.dep::<RouteTable>(1)?;
+        let mapper: Arc<dyn GeoMapper + Send + Sync> = match self.mapper {
+            MapperKind::IxMapper => ctx.dep::<IxMapper>(2)?,
+            MapperKind::EdgeScape => ctx.dep::<EdgeScape>(2)?,
+        };
+        let hints = ctx.dep::<NearestHints>(4)?;
         let name = self.name();
         // Address chunks fan out over the engine pool; chunk results
         // merge in index order, so the bytes are identical at any
         // thread count.
-        let exec = EngineExec::new(resolve_threads(ctx.config.threads), ctx.telemetry(), &name);
-        let run_process = |measured: &MeasuredDataset| match self.mapper {
-            MapperKind::IxMapper => {
-                let mapper = ctx.dep::<IxMapper>(2);
-                process_chunked(
-                    measured,
-                    &*mapper as &(dyn GeoMapper + Sync),
-                    &table,
-                    &gt,
-                    Some(&hints),
-                    &exec,
-                )
-            }
-            MapperKind::EdgeScape => {
-                let mapper = ctx.dep::<EdgeScape>(2);
-                process_chunked(
-                    measured,
-                    &*mapper as &(dyn GeoMapper + Sync),
-                    &table,
-                    &gt,
-                    Some(&hints),
-                    &exec,
-                )
-            }
+        let exec = ctx.exec(&name);
+        let process = |measured: &MeasuredDataset| {
+            process_chunked(measured, &*mapper, &table, &gt, Some(&hints), &exec)
         };
         let (dataset, tally) = match self.collector {
-            Collector::Skitter => {
-                let collected = ctx.dep::<SkitterOutput>(3);
-                run_process(&collected.dataset)
-            }
-            Collector::Mercator => {
-                let collected = ctx.dep::<MercatorOutput>(3);
-                run_process(&collected.dataset)
-            }
+            Collector::Skitter => process(&ctx.dep::<SkitterOutput>(3)?.dataset),
+            Collector::Mercator => process(&ctx.dep::<MercatorOutput>(3)?.dataset),
         };
-        record_map_metrics(ctx.telemetry(), &self.name(), &tally);
-        Ok(artifact(ProcessedDataset {
+        record_map_metrics(ctx.telemetry(), &name, &tally);
+        Ok(ProcessedDataset {
             collector: self.collector,
             mapper: self.mapper,
             dataset,
-        }))
+        })
     }
 
-    fn validate(&self, a: &Artifact, ctx: &StageCtx<'_>) -> Result<(), StageError> {
-        let ds: &ProcessedDataset = downcast(a, PipelineStage::Mapping, "processed dataset")?;
-        let gt = ctx.dep::<GroundTruth>(0);
-        check_stage(
-            PipelineStage::Mapping,
-            ds.dataset.validate(&generation_regions(&gt)),
-        )
+    fn validate(&self, ds: &ProcessedDataset, ctx: &StageCtx<'_>) -> Result<(), StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        check_invariant(ds.dataset.validate(&generation_regions(&gt)))
+    }
+}
+
+impl Artifact for ProcessedDataset {
+    fn items(&self) -> usize {
+        self.dataset.num_nodes()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<ProcessedDataset>()
-            .map_or(0, |d| d.dataset.num_nodes())
+    fn heap_bytes(&self) -> usize {
+        self.dataset.mem_bytes()
     }
 
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<ProcessedDataset>()
-            .map_or(0, |d| d.dataset.mem_bytes())
-    }
-
-    fn load_cached(&self, cache: &DiskCache<'_>, fp: Fingerprint) -> CacheLoad {
-        let name = self.name();
-        let path = cache.entry_path(fp, &name);
+    fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
         // load_dataset also re-checks the dataset's structural
-        // invariants; a violation surfaces as Corrupt, not a miss.
-        match io::load_dataset(cache.vfs, &path, &name, fp) {
-            CacheRead::Hit(ds) => {
-                // A fingerprint collision (or a tampered file) could
-                // hand back the wrong view; the provenance labels are
-                // cheap to check.
-                if ds.mapper != self.mapper || ds.collector != self.collector {
-                    return CacheLoad::Corrupt {
-                        path,
-                        reason: "provenance labels disagree with the requesting stage".into(),
-                    };
-                }
-                CacheLoad::Hit(artifact(ds))
+        // invariants; a violation surfaces as Corrupt, not a miss. A
+        // fingerprint collision (or a tampered file) could hand back the
+        // wrong view; the provenance labels are cheap to check.
+        io::load_dataset(vfs, path, stage, fp).guard(|ds| {
+            if map_stage_name(ds.mapper, ds.collector) == stage {
+                Ok(())
+            } else {
+                Err("provenance labels disagree with the requesting stage".into())
             }
-            CacheRead::Miss => CacheLoad::Miss,
-            CacheRead::Corrupt(reason) => CacheLoad::Corrupt { path, reason },
-        }
+        })
     }
 
-    fn save_cached(&self, a: &Artifact, cache: &DiskCache<'_>, fp: Fingerprint) -> SaveOutcome {
-        let name = self.name();
-        match a.downcast_ref::<ProcessedDataset>() {
-            Some(ds) => SaveOutcome::from_save(io::save_dataset(
-                cache.vfs,
-                ds,
-                &cache.entry_path(fp, &name),
-                &name,
-                fp,
-            )),
-            None => SaveOutcome::Unsupported,
-        }
+    fn save(
+        &self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        stage: &str,
+        fp: Fingerprint,
+    ) -> Result<(), IoError> {
+        io::save_dataset(vfs, self, path, stage, fp)
     }
 }
 
@@ -874,6 +816,8 @@ impl Stage for MapStage {
 struct QuerySnapshotStage;
 
 impl Stage for QuerySnapshotStage {
+    type Output = QuerySnapshot;
+
     fn name(&self) -> String {
         QUERY_SNAPSHOT.into()
     }
@@ -892,12 +836,12 @@ impl Stage for QuerySnapshotStage {
         config.mapper_seed
     }
 
-    fn run(&self, ctx: &StageCtx<'_>) -> Result<Artifact, StageError> {
-        let gt = ctx.dep::<GroundTruth>(0);
-        let table = ctx.dep::<RouteTable>(1);
-        let gazetteer = ctx.dep::<Gazetteer>(2);
-        let mapper = ctx.dep::<IxMapper>(3);
-        let hints = ctx.dep::<NearestHints>(4);
+    fn run(&self, ctx: &StageCtx<'_>) -> Result<QuerySnapshot, StageError> {
+        let gt = ctx.dep::<GroundTruth>(0)?;
+        let table = ctx.dep::<RouteTable>(1)?;
+        let gazetteer = ctx.dep::<Gazetteer>(2)?;
+        let mapper = ctx.dep::<IxMapper>(3)?;
+        let hints = ctx.dep::<NearestHints>(4)?;
         let topo = &gt.topology;
         let addresses = topo.interfaces().map(|(_, iface)| {
             let r = topo.router(iface.router);
@@ -914,17 +858,17 @@ impl Stage for QuerySnapshotStage {
         t.count("query.snapshot.addresses", stats.addresses as u64);
         t.count("query.snapshot.resolved", stats.resolved as u64);
         t.count("query.snapshot.fallbacks", stats.fallbacks as u64);
-        Ok(artifact(snapshot))
+        Ok(snapshot)
+    }
+}
+
+impl Artifact for QuerySnapshot {
+    fn items(&self) -> usize {
+        self.len()
     }
 
-    fn artifact_items(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<QuerySnapshot>()
-            .map_or(0, QuerySnapshot::len)
-    }
-
-    fn artifact_bytes(&self, a: &Artifact) -> usize {
-        a.downcast_ref::<QuerySnapshot>()
-            .map_or(0, QuerySnapshot::mem_bytes)
+    fn heap_bytes(&self) -> usize {
+        self.mem_bytes()
     }
 }
 

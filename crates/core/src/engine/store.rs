@@ -4,35 +4,27 @@
 //! (crate::pipeline::Pipeline::run) calls with the same configuration
 //! reuse stage outputs instead of regenerating the world — benches and
 //! the experiment registry share one generated world instead of
-//! fourteen. Artifacts live in memory as `Arc`s; stages that know how to
-//! persist themselves (ground truth, collector outputs, the processed
-//! datasets, via `io.rs`) can additionally spill to a disk directory,
+//! fourteen. Artifacts live in memory as `Arc`s; persisted artifact
+//! types (ground truth, the route table, collector outputs, the processed
+//! datasets, via `io.rs`) are additionally written to a disk directory,
 //! surviving process restarts.
-//!
-//! With a memory budget ([`ArtifactStore::with_memory_budget`]) the
-//! store also *evicts*: when resident artifact bytes exceed the budget,
-//! the largest disk-backed entries are dropped from memory (their files
-//! remain) and reload on demand through the scheduler's disk-hit path.
-//! Entries without a persistent form are never evicted.
 
 use super::fingerprint::Fingerprint;
 use super::scheduler::CacheStatus;
-use super::Artifact;
+use super::ErasedArtifact;
 use crate::vfs::{RealVfs, Vfs};
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// One cached artifact plus the accounting the spill policy needs.
+/// One cached artifact plus its accounted size.
 struct Entry {
-    artifact: Artifact,
-    /// Approximate heap footprint ([`Stage::artifact_bytes`]
-    /// (super::Stage::artifact_bytes)); 0 = unknown.
+    artifact: ErasedArtifact,
+    /// Approximate heap footprint ([`Artifact::heap_bytes`]
+    /// (super::Artifact::heap_bytes)); 0 = unknown.
     bytes: usize,
-    /// Whether the artifact also exists on disk, making memory eviction
-    /// safe (a later lookup falls through to the disk restore path).
-    spillable: bool,
 }
 
 /// A thread-safe, fingerprint-keyed artifact cache.
@@ -42,8 +34,6 @@ pub struct ArtifactStore {
     /// The filesystem seam every disk touch goes through (real in
     /// production, chaos-injected under test).
     vfs: Arc<dyn Vfs>,
-    /// Resident-bytes ceiling; `None` = unbounded (never evict).
-    budget: Option<usize>,
     /// Once a spill write fails (`ENOSPC`, `EIO`), the reason key; the
     /// store stops offering a spill target and artifacts stay resident.
     spill_disabled: Mutex<Option<String>>,
@@ -51,7 +41,6 @@ pub struct ArtifactStore {
     hits: AtomicUsize,
     misses: AtomicUsize,
     disk_restores: AtomicUsize,
-    evictions: AtomicUsize,
     corrupt_detected: AtomicUsize,
     quarantined: AtomicUsize,
     tmp_swept: AtomicUsize,
@@ -64,21 +53,19 @@ impl ArtifactStore {
             mem: Mutex::new(HashMap::new()),
             disk: None,
             vfs: Arc::new(RealVfs),
-            budget: None,
             spill_disabled: Mutex::new(None),
             resident: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             disk_restores: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
             corrupt_detected: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
             tmp_swept: AtomicUsize::new(0),
         }
     }
 
-    /// An in-memory store that also persists persistable artifacts under
-    /// `dir` (created on demand), on the real filesystem.
+    /// An in-memory store that also writes the persisted artifact types
+    /// under `dir` (created on demand), on the real filesystem.
     pub fn with_disk(dir: impl Into<PathBuf>) -> Self {
         Self::with_disk_vfs(dir, Arc::new(RealVfs))
     }
@@ -205,91 +192,33 @@ impl ArtifactStore {
         self.tmp_swept.load(Ordering::Relaxed)
     }
 
-    /// Caps resident artifact bytes: once known artifact sizes exceed
-    /// `bytes`, the largest disk-backed entries are evicted from memory
-    /// until the store fits (or nothing evictable remains). Meaningful
-    /// only together with a disk directory — without one no entry is
-    /// spillable.
-    #[must_use]
-    pub fn with_memory_budget(mut self, bytes: usize) -> Self {
-        self.budget = Some(bytes);
-        self
-    }
-
     /// The on-disk spill directory, if configured.
     pub fn disk_dir(&self) -> Option<&Path> {
         self.disk.as_deref()
     }
 
-    /// Looks up an artifact by fingerprint (memory only; disk probing is
-    /// stage-specific and driven by the scheduler).
-    pub fn get(&self, fp: Fingerprint) -> Option<Artifact> {
-        self.mem
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&fp.0)
-            .map(|e| e.artifact.clone())
-    }
-
-    /// Inserts (or replaces) an artifact with unknown size and no disk
-    /// backing (never evicted).
-    pub fn put(&self, fp: Fingerprint, artifact: Artifact) {
-        self.put_sized(fp, artifact, 0, false);
+    /// Looks up an artifact by fingerprint, as a `T` (memory only; disk
+    /// probing is type-specific and driven by the scheduler). An entry of
+    /// another type is a miss.
+    pub fn get<T: Any + Send + Sync>(&self, fp: Fingerprint) -> Option<Arc<T>> {
+        let mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
+        mem.get(&fp.0)?.artifact.clone().downcast().ok()
     }
 
     /// Inserts (or replaces) an artifact with its approximate heap size
-    /// and whether a disk copy exists, then enforces the memory budget.
-    /// Returns the number of entries evicted to fit.
-    pub fn put_sized(
-        &self,
-        fp: Fingerprint,
-        artifact: Artifact,
-        bytes: usize,
-        spillable: bool,
-    ) -> usize {
+    /// in bytes (0 = unknown).
+    pub fn put(&self, fp: Fingerprint, artifact: ErasedArtifact, bytes: usize) {
         let mut mem = self.mem.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(old) = mem.insert(
-            fp.0,
-            Entry {
-                artifact,
-                bytes,
-                spillable,
-            },
-        ) {
+        if let Some(old) = mem.insert(fp.0, Entry { artifact, bytes }) {
             self.resident.fetch_sub(old.bytes, Ordering::Relaxed);
         }
         self.resident.fetch_add(bytes, Ordering::Relaxed);
-        let Some(budget) = self.budget else {
-            return 0;
-        };
-        // Largest-first eviction of disk-backed entries until we fit.
-        let mut evicted = 0;
-        while self.resident.load(Ordering::Relaxed) > budget {
-            let victim = mem
-                .iter()
-                .filter(|(_, e)| e.spillable && e.bytes > 0)
-                .max_by_key(|(_, e)| e.bytes)
-                .map(|(&k, _)| k);
-            let Some(k) = victim else { break };
-            if let Some(e) = mem.remove(&k) {
-                self.resident.fetch_sub(e.bytes, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted += 1;
-            }
-        }
-        evicted
     }
 
     /// Approximate bytes of artifact data currently resident in memory
-    /// (the sum of known entry sizes; entries inserted via
-    /// [`ArtifactStore::put`] count 0).
+    /// (the sum of known entry sizes).
     pub fn resident_bytes(&self) -> usize {
         self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted from memory to honour the budget so far.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Records one stage-level cache outcome in the hit/miss counters.
@@ -356,7 +285,6 @@ impl std::fmt::Debug for ArtifactStore {
             .field("disk", &self.disk)
             .field("spill_disabled", &self.spill_disabled_reason())
             .field("resident_bytes", &self.resident_bytes())
-            .field("evictions", &self.evictions())
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .field("corrupt_detected", &self.corrupt_detected())
@@ -374,10 +302,10 @@ mod tests {
     fn put_get_roundtrip() {
         let store = ArtifactStore::new();
         let fp = Fingerprint(42);
-        assert!(store.get(fp).is_none());
-        store.put(fp, Arc::new(123_u64));
-        let got = store.get(fp).expect("stored");
-        assert_eq!(*got.downcast::<u64>().expect("u64 artifact"), 123);
+        assert!(store.get::<u64>(fp).is_none());
+        store.put(fp, Arc::new(123_u64), 8);
+        assert_eq!(*store.get::<u64>(fp).expect("stored"), 123);
+        assert!(store.get::<u32>(fp).is_none(), "another type is a miss");
         assert_eq!(store.len(), 1);
         assert!(!store.is_empty());
     }
@@ -396,38 +324,12 @@ mod tests {
     #[test]
     fn resident_bytes_track_inserts_and_replacements() {
         let store = ArtifactStore::new();
-        store.put_sized(Fingerprint(1), Arc::new(1_u64), 100, false);
-        store.put_sized(Fingerprint(2), Arc::new(2_u64), 50, false);
+        store.put(Fingerprint(1), Arc::new(1_u64), 100);
+        store.put(Fingerprint(2), Arc::new(2_u64), 50);
         assert_eq!(store.resident_bytes(), 150);
         // Replacing an entry swaps its accounted size, not adds to it.
-        store.put_sized(Fingerprint(1), Arc::new(3_u64), 40, false);
+        store.put(Fingerprint(1), Arc::new(3_u64), 40);
         assert_eq!(store.resident_bytes(), 90);
-        assert_eq!(store.evictions(), 0);
-    }
-
-    #[test]
-    fn budget_evicts_largest_spillable_first() {
-        let store = ArtifactStore::with_disk("/tmp/x").with_memory_budget(120);
-        store.put_sized(Fingerprint(1), Arc::new(1_u64), 100, true);
-        store.put_sized(Fingerprint(2), Arc::new(2_u64), 60, true);
-        // Over budget by 40: the 100-byte entry goes, the 60-byte stays.
-        assert_eq!(store.evictions(), 1);
-        assert_eq!(store.resident_bytes(), 60);
-        assert!(store.get(Fingerprint(1)).is_none(), "largest evicted");
-        assert!(store.get(Fingerprint(2)).is_some());
-    }
-
-    #[test]
-    fn non_spillable_entries_survive_budget_pressure() {
-        let store = ArtifactStore::with_disk("/tmp/x").with_memory_budget(10);
-        store.put_sized(Fingerprint(1), Arc::new(1_u64), 100, false);
-        store.put_sized(Fingerprint(2), Arc::new(2_u64), 100, true);
-        // Only the disk-backed entry can be dropped; the other stays
-        // even though the store remains over budget.
-        assert_eq!(store.evictions(), 1);
-        assert!(store.get(Fingerprint(1)).is_some(), "no disk copy, kept");
-        assert!(store.get(Fingerprint(2)).is_none());
-        assert_eq!(store.resident_bytes(), 100);
     }
 
     #[test]

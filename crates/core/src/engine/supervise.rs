@@ -1,17 +1,21 @@
-//! Stage supervision: a typed error taxonomy and per-stage retry policy.
+//! Stage supervision: a typed error taxonomy and the retry bound.
 //!
 //! The engine used to abort the whole run on the first stage error. Under
 //! fault injection that is the wrong contract: a transient failure of a
 //! pure stage is recoverable by re-running it, a lost monitor is
 //! recoverable by degrading to a quorum, and only genuine invariant
 //! violations or generation failures should kill a run. [`StageError`]
-//! classifies the failure, [`RetryPolicy`] bounds the recovery, and the
+//! classifies the failure, [`MAX_RETRIES`] bounds the recovery, and the
 //! scheduler converts whatever survives supervision back into a
 //! [`PipelineError`] at the boundary so existing callers see the same
 //! error type they always did.
 
-use crate::pipeline::{PipelineError, PipelineStage};
+use crate::pipeline::PipelineError;
 use geotopo_topology::generate::ground_truth::GroundTruthError;
+
+/// How often the scheduler re-runs a stage after a retryable failure.
+/// Every stage is pure, so a couple of retries are always safe.
+pub(crate) const MAX_RETRIES: u32 = 2;
 
 /// A classified stage failure.
 #[derive(Debug)]
@@ -21,9 +25,13 @@ pub enum StageError {
     /// A cross-layer invariant validator found a corrupt artifact.
     /// Deterministic: retrying reproduces the same bytes.
     Invariant {
-        /// Which pipeline stage the invariant belongs to.
-        stage: PipelineStage,
         /// What was violated.
+        detail: String,
+    },
+    /// The stage graph is miswired: a dependency is missing or has an
+    /// unexpected artifact type. Deterministic: retrying cannot help.
+    Wiring {
+        /// What was miswired.
         detail: String,
     },
     /// A transient infrastructure failure (injected or environmental).
@@ -50,9 +58,8 @@ impl std::fmt::Display for StageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StageError::Generation(e) => write!(f, "ground-truth generation failed: {e}"),
-            StageError::Invariant { stage, detail } => {
-                write!(f, "invariant violated in {stage:?} stage: {detail}")
-            }
+            StageError::Invariant { detail } => write!(f, "invariant violated: {detail}"),
+            StageError::Wiring { detail } => write!(f, "stage graph miswired: {detail}"),
             StageError::Transient { detail } => write!(f, "transient failure: {detail}"),
             StageError::QuorumLost {
                 active,
@@ -88,42 +95,17 @@ impl StageError {
     }
 }
 
-/// How many times the scheduler re-runs a stage that failed with a
-/// retryable [`StageError`] before giving up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Re-runs allowed after the first failed attempt.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    /// Every stage is pure, so a couple of retries are always safe.
-    fn default() -> Self {
-        RetryPolicy { max_retries: 2 }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: the first failure is final.
-    pub const fn none() -> Self {
-        RetryPolicy { max_retries: 0 }
-    }
-
-    /// Exactly `n` retries after the first failure.
-    pub const fn retries(n: u32) -> Self {
-        RetryPolicy { max_retries: n }
-    }
-}
-
-/// Converts a supervision-final error into the public [`PipelineError`],
-/// preserving the legacy variants for generation and invariant failures
-/// so existing matches keep working.
+/// Converts a supervision-final error of stage `stage` into the public
+/// [`PipelineError`], preserving the legacy variants for generation and
+/// invariant failures so existing matches keep working.
 pub(crate) fn into_pipeline_error(stage: &str, attempts: u32, e: StageError) -> PipelineError {
+    let stage = stage.to_string();
     match e {
         StageError::Generation(g) => PipelineError::GroundTruth(g),
-        StageError::Invariant { stage, detail } => PipelineError::Invariant { stage, detail },
+        StageError::Invariant { detail } => PipelineError::Invariant { stage, detail },
+        StageError::Wiring { detail } => PipelineError::Wiring { stage, detail },
         other => PipelineError::Stage {
-            stage: stage.to_string(),
+            stage,
             attempts,
             detail: other.to_string(),
         },
@@ -134,13 +116,11 @@ pub(crate) fn into_pipeline_error(stage: &str, attempts: u32, e: StageError) -> 
 ///
 /// # Errors
 ///
-/// Maps any `Err` to [`StageError::Invariant`] tagged with `stage`.
-pub(crate) fn check_stage<E: std::fmt::Display>(
-    stage: PipelineStage,
+/// Maps any `Err` to [`StageError::Invariant`].
+pub(crate) fn check_invariant<E: std::fmt::Display>(
     result: Result<(), E>,
 ) -> Result<(), StageError> {
     result.map_err(|e| StageError::Invariant {
-        stage,
         detail: e.to_string(),
     })
 }
@@ -155,11 +135,8 @@ mod tests {
             detail: "injected".into()
         }
         .is_retryable());
-        assert!(!StageError::Invariant {
-            stage: PipelineStage::Collection,
-            detail: "x".into()
-        }
-        .is_retryable());
+        assert!(!StageError::Invariant { detail: "x".into() }.is_retryable());
+        assert!(!StageError::Wiring { detail: "x".into() }.is_retryable());
         assert!(!StageError::QuorumLost {
             active: 3,
             planned: 19,
@@ -174,11 +151,13 @@ mod tests {
             "map-ixmapper-skitter",
             1,
             StageError::Invariant {
-                stage: PipelineStage::Mapping,
                 detail: "bad".into(),
             },
         );
-        assert!(matches!(e, PipelineError::Invariant { .. }));
+        match e {
+            PipelineError::Invariant { stage, .. } => assert_eq!(stage, "map-ixmapper-skitter"),
+            other => panic!("wrong variant: {other:?}"),
+        }
         let e = into_pipeline_error(
             "collect-skitter",
             3,
@@ -207,12 +186,5 @@ mod tests {
         .to_string();
         assert!(s.contains("4/19"));
         assert!(s.contains("need 10"));
-    }
-
-    #[test]
-    fn retry_policy_constructors() {
-        assert_eq!(RetryPolicy::default().max_retries, 2);
-        assert_eq!(RetryPolicy::none().max_retries, 0);
-        assert_eq!(RetryPolicy::retries(5).max_retries, 5);
     }
 }

@@ -98,6 +98,21 @@ pub enum CacheRead<T> {
     Corrupt(String),
 }
 
+impl<T> CacheRead<T> {
+    /// Demotes a hit that fails `check` to `Corrupt`: a decoded value
+    /// that violates a load guard (fingerprint collision, tampering) is a
+    /// damaged entry, never a cold miss.
+    pub fn guard(self, check: impl FnOnce(&T) -> Result<(), String>) -> Self {
+        match self {
+            CacheRead::Hit(value) => match check(&value) {
+                Ok(()) => CacheRead::Hit(value),
+                Err(reason) => CacheRead::Corrupt(reason),
+            },
+            other => other,
+        }
+    }
+}
+
 /// The envelope's schema version. Bumping it invalidates (quarantines +
 /// regenerates) every existing cache entry exactly once.
 // analyze: allow(dead-pub): durability-contract version, read by the chaos suite (outside the source use-graph)
@@ -321,14 +336,11 @@ pub fn load_dataset(
     stage: &str,
     fp: Fingerprint,
 ) -> CacheRead<ProcessedDataset> {
-    match load_json::<ProcessedDataset>(vfs, path, stage, fp) {
-        CacheRead::Hit(ds) => match ds.dataset.validate(&[]) {
-            Ok(()) => CacheRead::Hit(ds),
-            Err(e) => CacheRead::Corrupt(format!("dataset invariant violated: {e}")),
-        },
-        CacheRead::Miss => CacheRead::Miss,
-        CacheRead::Corrupt(reason) => CacheRead::Corrupt(reason),
-    }
+    load_json::<ProcessedDataset>(vfs, path, stage, fp).guard(|ds| {
+        ds.dataset
+            .validate(&[])
+            .map_err(|e| format!("dataset invariant violated: {e}"))
+    })
 }
 
 #[cfg(test)]

@@ -50,5 +50,5 @@ pub mod vfs;
 
 pub use pipeline::{
     Collector, GeoDataset, GeoInvariant, GeoNode, MapperKind, NearestHints, Pipeline,
-    PipelineConfig, PipelineOutput, PipelineStage, ProcessedDataset, ValidationMode,
+    PipelineConfig, PipelineOutput, ProcessedDataset, ValidationMode,
 };

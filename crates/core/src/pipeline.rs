@@ -22,7 +22,7 @@ use geotopo_measure::{
     SkitterOutput,
 };
 use geotopo_query::QuerySnapshot;
-use geotopo_stats::{ChunkExec, SerialExec};
+use geotopo_stats::ChunkExec;
 use geotopo_topology::generate::{GroundTruth, GroundTruthConfig};
 use geotopo_topology::RouterId;
 use serde::{Deserialize, Serialize};
@@ -265,9 +265,10 @@ pub struct PipelineConfig {
     /// see [`FaultConfig`].
     pub faults: FaultConfig,
     /// Worker threads for stage execution (`0` = resolve from
-    /// `GEOTOPO_THREADS`, else available parallelism; `1` = the legacy
-    /// sequential path). Excluded from the config fingerprint and from
-    /// serialization: thread count must never change output.
+    /// `GEOTOPO_THREADS`, else available parallelism; `1` = every stage
+    /// on the calling thread, no worker spawned). Excluded from the
+    /// config fingerprint and from serialization: thread count must never
+    /// change output.
     #[serde(skip)]
     pub threads: usize,
 }
@@ -326,31 +327,6 @@ impl PipelineConfig {
     }
 }
 
-/// The pipeline's stages, in execution order. Used to label which stage
-/// an invariant violation was detected after.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PipelineStage {
-    /// Ground-truth world generation.
-    GroundTruth,
-    /// RouteViews snapshot synthesis.
-    RouteTable,
-    /// Skitter/Mercator measurement.
-    Collection,
-    /// Geographic mapping and AS origination.
-    Mapping,
-}
-
-impl std::fmt::Display for PipelineStage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineStage::GroundTruth => write!(f, "ground-truth"),
-            PipelineStage::RouteTable => write!(f, "route-table"),
-            PipelineStage::Collection => write!(f, "collection"),
-            PipelineStage::Mapping => write!(f, "mapping"),
-        }
-    }
-}
-
 /// When the pipeline runs its cross-layer invariant validators between
 /// stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -383,9 +359,19 @@ pub enum PipelineError {
     GroundTruth(geotopo_topology::generate::ground_truth::GroundTruthError),
     /// A between-stage invariant validator found a corrupt structure.
     Invariant {
-        /// The stage whose output failed validation.
-        stage: PipelineStage,
+        /// The stage-graph name of the stage whose output failed
+        /// validation.
+        stage: String,
         /// The violated invariant.
+        detail: String,
+    },
+    /// The stage graph is miswired: a dependency names no earlier stage
+    /// (an unknown name or a cycle), or an artifact has an unexpected
+    /// type.
+    Wiring {
+        /// The stage-graph name of the miswired stage.
+        stage: String,
+        /// What is miswired.
         detail: String,
     },
     /// A stage failed after exhausting its supervision policy (retries
@@ -406,6 +392,9 @@ impl std::fmt::Display for PipelineError {
             PipelineError::GroundTruth(e) => write!(f, "ground truth generation: {e}"),
             PipelineError::Invariant { stage, detail } => {
                 write!(f, "invariant violated after {stage} stage: {detail}")
+            }
+            PipelineError::Wiring { stage, detail } => {
+                write!(f, "stage `{stage}` is miswired: {detail}")
             }
             PipelineError::Stage {
                 stage,
@@ -477,18 +466,6 @@ pub struct Pipeline {
     telemetry: Option<Arc<Telemetry>>,
 }
 
-/// Removes a named stage artifact from the map and downcasts it.
-fn take_artifact<T: std::any::Any + Send + Sync>(
-    by_name: &mut HashMap<String, engine::Artifact>,
-    name: &str,
-) -> Arc<T> {
-    by_name
-        .remove(name)
-        .unwrap_or_else(|| panic!("stage `{name}` produced no artifact"))
-        .downcast::<T>()
-        .unwrap_or_else(|_| panic!("stage `{name}` artifact has an unexpected type"))
-}
-
 impl Pipeline {
     /// Creates a pipeline with the default [`ValidationMode::DebugOnly`].
     pub fn new(config: PipelineConfig) -> Self {
@@ -536,13 +513,15 @@ impl Pipeline {
 
     /// Runs everything: world → collection → mapping → AS origination.
     ///
-    /// The run is delegated to the [`engine`](crate::engine): the
+    /// The run is delegated to the [`engine`]: the
     /// configuration compiles to a stage graph
     /// ([`engine::pipeline_stages`]) and a deterministic scheduler
-    /// executes independent stages concurrently (`threads` knob /
-    /// `GEOTOPO_THREADS`; `1` = sequential). Every stage seeds its RNG
-    /// from the config alone, so output is byte-identical at any thread
-    /// count.
+    /// executes independent stages concurrently. The worker count is
+    /// resolved once here (`threads` knob, else `GEOTOPO_THREADS`, else
+    /// available parallelism) and serves both the scheduler and the
+    /// stage interiors; at `1` everything runs on the calling thread.
+    /// Every stage seeds its RNG from the config alone, so output is
+    /// byte-identical at any thread count.
     ///
     /// Depending on the configured [`ValidationMode`], each stage's output
     /// is checked against its layer's invariants before the next stage
@@ -551,8 +530,9 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates world-generation failures and reports the first
-    /// invariant violation as [`PipelineError::Invariant`].
+    /// Propagates world-generation failures, reports the first invariant
+    /// violation as [`PipelineError::Invariant`] and a miswired stage
+    /// graph as [`PipelineError::Wiring`].
     pub fn run(self) -> Result<PipelineOutput, PipelineError> {
         let validate = self.validation.is_active();
         let cfg = self.config;
@@ -563,7 +543,7 @@ impl Pipeline {
             telemetry.count("engine.threads.env_malformed", 1);
         }
         let stages = engine::pipeline_stages(&cfg);
-        let (artifacts, reports) = engine::execute(
+        let (mut artifacts, reports) = engine::execute(
             &stages,
             &cfg,
             validate,
@@ -571,31 +551,17 @@ impl Pipeline {
             self.store.as_deref(),
             &telemetry,
         )?;
-        let mut by_name: HashMap<String, engine::Artifact> =
-            stages.iter().map(|s| s.name()).zip(artifacts).collect();
-
-        let ground_truth = take_artifact::<GroundTruth>(&mut by_name, engine::GROUND_TRUTH);
-        let route_table = take_artifact::<RouteTable>(&mut by_name, engine::ROUTE_TABLE);
-        let skitter = take_artifact::<SkitterOutput>(&mut by_name, engine::COLLECT_SKITTER);
-        let mercator = take_artifact::<MercatorOutput>(&mut by_name, engine::COLLECT_MERCATOR);
-        let query = take_artifact::<QuerySnapshot>(&mut by_name, engine::QUERY_SNAPSHOT);
         let datasets = engine::TABLE_I_ORDER
             .iter()
-            .map(|&(mapper, collector)| {
-                take_artifact::<ProcessedDataset>(
-                    &mut by_name,
-                    &engine::map_stage_name(mapper, collector),
-                )
-            })
-            .collect();
-
+            .map(|&(mapper, collector)| artifacts.take(&engine::map_stage_name(mapper, collector)))
+            .collect::<Result<_, _>>()?;
         Ok(PipelineOutput {
-            ground_truth,
-            route_table,
+            ground_truth: artifacts.take(engine::GROUND_TRUTH)?,
+            route_table: artifacts.take(engine::ROUTE_TABLE)?,
             datasets,
-            skitter,
-            mercator,
-            query,
+            skitter: artifacts.take(engine::COLLECT_SKITTER)?,
+            mercator: artifacts.take(engine::COLLECT_MERCATOR)?,
+            query: artifacts.take(engine::QUERY_SNAPSHOT)?,
             reports,
             metrics: telemetry.snapshot(),
         })
@@ -604,7 +570,7 @@ impl Pipeline {
 
 /// Per-dataset processing tallies destined for the metrics registry.
 ///
-/// Accumulated in plain local fields inside the [`process_with_telemetry`]
+/// Accumulated in plain chunk-local fields inside the [`process_chunked`]
 /// hot loop — the registry's locks are touched once per stage, when the
 /// owning stage absorbs the totals.
 #[derive(Debug, Clone, Default)]
@@ -722,33 +688,6 @@ impl ProcessTelemetry {
         self.lpm_unmapped += other.lpm_unmapped;
         self.lpm_matched_len.merge(&other.lpm_matched_len);
     }
-}
-
-/// Applies geographic mapping and AS origination to a measured dataset.
-pub fn process(
-    measured: &MeasuredDataset,
-    mapper: &(dyn GeoMapper + Sync),
-    route_table: &RouteTable,
-    gt: &GroundTruth,
-) -> GeoDataset {
-    process_with_telemetry(measured, mapper, route_table, gt).0
-}
-
-/// Like [`process`], but also returns the per-tool resolution and LPM
-/// tallies the map stages feed into the metrics registry. Identical
-/// mapping decisions: the traced mapper entry point
-/// (`GeoMapper::map_resolved`) is draw-for-draw the same as `map`.
-///
-/// Serial reference path: [`process_chunked`] with the serial executor
-/// and no hint memo.
-// analyze: allow(dead-pub): the serial reference implementation root-package byte-identity tests compare process_chunked against
-pub fn process_with_telemetry(
-    measured: &MeasuredDataset,
-    mapper: &(dyn GeoMapper + Sync),
-    route_table: &RouteTable,
-    gt: &GroundTruth,
-) -> (GeoDataset, ProcessTelemetry) {
-    process_chunked(measured, mapper, route_table, gt, None, &SerialExec)
 }
 
 /// One node chunk's partial result: per-node outcomes plus the chunk's
