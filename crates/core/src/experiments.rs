@@ -3,7 +3,9 @@
 //! Each experiment consumes a [`PipelineOutput`] and produces an
 //! [`ExperimentResult`] holding a rendered text block (the shape the
 //! paper prints) and a JSON value with the raw data. [`run_all`] executes
-//! the entire paper, appendix included.
+//! the entire paper, appendix included, computing each intermediate that
+//! several results read (the Section V distance preferences and the
+//! Section VI AS measures) once and sharing it.
 
 use crate::ascii_map;
 use crate::fractal;
@@ -15,6 +17,7 @@ use crate::section6;
 use geotopo_geo::{Region, RegionSet};
 use geotopo_population::{PopulationGrid, WorldModel};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A finished experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,69 +33,85 @@ pub struct ExperimentResult {
     pub json: serde_json::Value,
 }
 
-/// One experiment job: a pure function of the pipeline output.
-type ExperimentJob = Box<dyn Fn(&PipelineOutput) -> ExperimentResult + Send + Sync>;
+/// The intermediates several experiments read, each computed on first
+/// use and then shared: the distance preferences of every (mapper,
+/// collector) dataset over [`RegionBins::paper`] (Figures 4–6 and 12–14,
+/// both Tables V) and the AS measures of both Skitter datasets (Figures
+/// 7–10 and 15–17, robustness). One instance serves a whole [`run_all`];
+/// each public entry point builds its own, so it computes only what it
+/// reads.
+struct Shared<'a> {
+    out: &'a PipelineOutput,
+    /// Indexed by mapper, then collector.
+    preferences: [[OnceLock<Vec<DistancePreference>>; 2]; 2],
+    /// Indexed by mapper.
+    skitter_measures: [OnceLock<Vec<section6::AsMeasures>>; 2],
+}
 
-/// The full paper as an ordered job list (appendix included). Each job
-/// is independent of the others, so [`run_all`] can fan them out across
-/// workers without changing the result.
-fn paper_jobs() -> Vec<ExperimentJob> {
-    vec![
-        Box::new(table1),
-        Box::new(|_| table2()),
-        Box::new(table3),
-        Box::new(table4),
-        Box::new(fig1),
-        Box::new(|out| fig2(out, MapperKind::IxMapper)),
-        Box::new(|out| fig4(out, MapperKind::IxMapper)),
-        Box::new(|out| fig5(out, MapperKind::IxMapper)),
-        Box::new(|out| fig6(out, MapperKind::IxMapper)),
-        Box::new(|out| table5(out, MapperKind::IxMapper)),
-        Box::new(fig7),
-        Box::new(fig8),
-        Box::new(fig9),
-        Box::new(fig10),
-        Box::new(table6),
-        Box::new(fractal_dimension),
-        Box::new(robustness),
-        Box::new(|out| {
-            relabel(
-                fig2(out, MapperKind::EdgeScape),
-                "fig11",
-                "Figure 11 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                fig4(out, MapperKind::EdgeScape),
-                "fig12",
-                "Figure 12 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                fig5(out, MapperKind::EdgeScape),
-                "fig13",
-                "Figure 13 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                fig6(out, MapperKind::EdgeScape),
-                "fig14",
-                "Figure 14 (EdgeScape)",
-            )
-        }),
-        Box::new(|out| {
-            relabel(
-                table5(out, MapperKind::EdgeScape),
-                "table5es",
-                "Table V (EdgeScape)",
-            )
-        }),
-        Box::new(fig15),
-        Box::new(fig16),
-        Box::new(fig17),
+impl<'a> Shared<'a> {
+    fn new(out: &'a PipelineOutput) -> Self {
+        Shared {
+            out,
+            preferences: Default::default(),
+            skitter_measures: Default::default(),
+        }
+    }
+
+    /// The distance preference of one dataset, one per study region.
+    fn preferences(&self, mapper: MapperKind, collector: Collector) -> &[DistancePreference] {
+        self.preferences[mapper as usize][collector as usize].get_or_init(|| {
+            let ds = &self.out.dataset(mapper, collector).dataset;
+            RegionBins::paper()
+                .iter()
+                .map(|bins| section5::distance_preference(ds, bins, false))
+                .collect()
+        })
+    }
+
+    /// The per-AS measures of one mapper's Skitter dataset.
+    fn skitter_measures(&self, mapper: MapperKind) -> &[section6::AsMeasures] {
+        self.skitter_measures[mapper as usize].get_or_init(|| {
+            section6::as_measures(&self.out.dataset(mapper, Collector::Skitter).dataset)
+        })
+    }
+}
+
+/// One experiment job: a pure function of the pipeline output and the
+/// intermediates shared across jobs.
+type ExperimentJob = fn(&Shared<'_>) -> ExperimentResult;
+
+/// The full paper as an ordered job list (appendix included). Jobs only
+/// share intermediates that are pure functions of the pipeline output, so
+/// [`run_all`] can fan them out across workers without changing the
+/// result.
+fn paper_jobs() -> [ExperimentJob; 25] {
+    use MapperKind::{EdgeScape, IxMapper};
+    [
+        |s| table1(s.out),
+        |_| table2(),
+        |s| table3(s.out),
+        |s| table4(s.out),
+        |s| fig1(s.out),
+        |s| fig2(s.out, IxMapper),
+        |s| fig4_from(s, IxMapper),
+        |s| fig5_from(s, IxMapper),
+        |s| fig6_from(s, IxMapper),
+        |s| table5_from(s, IxMapper),
+        fig7_from,
+        fig8_from,
+        fig9_from,
+        fig10_from,
+        |s| table6(s.out),
+        |s| fractal_dimension(s.out),
+        robustness_from,
+        |s| relabel(fig2(s.out, EdgeScape), "fig11", "Figure 11 (EdgeScape)"),
+        |s| relabel(fig4_from(s, EdgeScape), "fig12", "Figure 12 (EdgeScape)"),
+        |s| relabel(fig5_from(s, EdgeScape), "fig13", "Figure 13 (EdgeScape)"),
+        |s| relabel(fig6_from(s, EdgeScape), "fig14", "Figure 14 (EdgeScape)"),
+        |s| relabel(table5_from(s, EdgeScape), "table5es", "Table V (EdgeScape)"),
+        fig15_from,
+        fig16_from,
+        fig17_from,
     ]
 }
 
@@ -101,60 +120,23 @@ fn paper_jobs() -> Vec<ExperimentJob> {
 /// Experiments are independent, so they are dispatched across the
 /// engine's worker pool (`GEOTOPO_THREADS`, defaulting to available
 /// parallelism); results always come back in paper order regardless of
-/// how the jobs interleave.
+/// how the jobs interleave. The intermediates several experiments read
+/// are computed once per call, by whichever job needs them first.
 pub fn run_all(out: &PipelineOutput) -> Vec<ExperimentResult> {
+    let shared = Shared::new(out);
     let jobs = paper_jobs();
     let threads = crate::engine::resolve_threads(0);
-    crate::engine::parallel_map(threads, jobs.len(), |i| jobs[i](out))
-}
-
-/// The appendix: the EdgeScape versions of Figures 2 and 4–6 plus
-/// Table V (Figures 11–14 in the paper) and the AS figures (15–17).
-// analyze: allow(dead-pub): paper-surface API — the appendix artifacts as one list, separate from run_all
-pub fn appendix(out: &PipelineOutput) -> Vec<ExperimentResult> {
-    vec![
-        relabel(
-            fig2(out, MapperKind::EdgeScape),
-            "fig11",
-            "Figure 11 (EdgeScape)",
-        ),
-        relabel(
-            fig4(out, MapperKind::EdgeScape),
-            "fig12",
-            "Figure 12 (EdgeScape)",
-        ),
-        relabel(
-            fig5(out, MapperKind::EdgeScape),
-            "fig13",
-            "Figure 13 (EdgeScape)",
-        ),
-        relabel(
-            fig6(out, MapperKind::EdgeScape),
-            "fig14",
-            "Figure 14 (EdgeScape)",
-        ),
-        relabel(
-            table5(out, MapperKind::EdgeScape),
-            "table5es",
-            "Table V (EdgeScape)",
-        ),
-        fig15(out),
-        fig16(out),
-        fig17(out),
-    ]
-}
-
-fn edgescape_skitter_measures(out: &PipelineOutput) -> Vec<section6::AsMeasures> {
-    let ds = &out
-        .dataset(MapperKind::EdgeScape, Collector::Skitter)
-        .dataset;
-    section6::as_measures(ds)
+    crate::engine::parallel_map(threads, jobs.len(), |i| jobs[i](&shared))
 }
 
 /// Figure 15: AS size distributions under EdgeScape.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig15(out: &PipelineOutput) -> ExperimentResult {
-    let f15 = section6::fig7(&edgescape_skitter_measures(out));
+    fig15_from(&Shared::new(out))
+}
+
+fn fig15_from(s: &Shared<'_>) -> ExperimentResult {
+    let f15 = section6::fig7(s.skitter_measures(MapperKind::EdgeScape));
     ExperimentResult {
         id: "fig15".into(),
         title: "Figure 15 — AS size distributions (EdgeScape)".into(),
@@ -166,7 +148,11 @@ pub fn fig15(out: &PipelineOutput) -> ExperimentResult {
 /// Figure 16: AS size scatterplots under EdgeScape.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig16(out: &PipelineOutput) -> ExperimentResult {
-    let (f16, corr) = section6::fig8(&edgescape_skitter_measures(out));
+    fig16_from(&Shared::new(out))
+}
+
+fn fig16_from(s: &Shared<'_>) -> ExperimentResult {
+    let (f16, corr) = section6::fig8(s.skitter_measures(MapperKind::EdgeScape));
     ExperimentResult {
         id: "fig16".into(),
         title: "Figure 16 — AS size scatterplots (EdgeScape)".into(),
@@ -178,7 +164,11 @@ pub fn fig16(out: &PipelineOutput) -> ExperimentResult {
 /// Figure 17: size vs convex hull under EdgeScape.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig17(out: &PipelineOutput) -> ExperimentResult {
-    let f17 = section6::fig10(&edgescape_skitter_measures(out));
+    fig17_from(&Shared::new(out))
+}
+
+fn fig17_from(s: &Shared<'_>) -> ExperimentResult {
+    let f17 = section6::fig10(s.skitter_measures(MapperKind::EdgeScape));
     ExperimentResult {
         id: "fig17".into(),
         title: "Figure 17 — size vs convex hull (EdgeScape)".into(),
@@ -384,21 +374,15 @@ pub fn fig2(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
 }
 
-/// Computes distance-preference estimates for every study region of one
-/// dataset.
-pub(crate) fn preferences(ds: &GeoDataset) -> Vec<DistancePreference> {
-    RegionBins::paper()
-        .iter()
-        .map(|bins| section5::distance_preference(ds, bins, false))
-        .collect()
-}
-
 /// Figure 4: the empirical distance preference function, both collectors.
 pub fn fig4(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig4_from(&Shared::new(out), mapper)
+}
+
+fn fig4_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
     let mut panels = Vec::new();
     for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        let fig = section5::fig4(&preferences(ds), &collector.to_string());
+        let fig = section5::fig4(s.preferences(mapper, collector), &collector.to_string());
         panels.extend(fig.panels);
     }
     let fig = FigureData {
@@ -416,11 +400,14 @@ pub fn fig4(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 
 /// Figure 5: small-d semi-log views with exponential fits.
 pub fn fig5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig5_from(&Shared::new(out), mapper)
+}
+
+fn fig5_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
     let mut panels = Vec::new();
     for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            let (points, fit) = section5::fig5_fit(&dp);
+        for dp in s.preferences(mapper, collector) {
+            let (points, fit) = section5::fig5_fit(dp);
             panels.push(Panel {
                 label: format!("{} ({collector})", dp.region),
                 series: vec![Series {
@@ -448,11 +435,14 @@ pub fn fig5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 /// Figure 6: cumulated preference over large d with linear fits.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig6_from(&Shared::new(out), mapper)
+}
+
+fn fig6_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
     let mut panels = Vec::new();
     for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            let (points, fit) = section5::fig6_cumulated(&dp);
+        for dp in s.preferences(mapper, collector) {
+            let (points, fit) = section5::fig6_cumulated(dp);
             panels.push(Panel {
                 label: format!("{} ({collector})", dp.region),
                 series: vec![Series {
@@ -479,6 +469,10 @@ pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
 
 /// Table V: limits of distance sensitivity, both collectors.
 pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    table5_from(&Shared::new(out), mapper)
+}
+
+fn table5_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
     let mut t = TextTable::new(
         "Table V — Limits of distance sensitivity",
         &[
@@ -491,9 +485,8 @@ pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     );
     let mut rows_json = Vec::new();
     for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        for dp in preferences(ds) {
-            if let Some(row) = section5::sensitivity_limit(&dp) {
+        for dp in s.preferences(mapper, collector) {
+            if let Some(row) = section5::sensitivity_limit(dp) {
                 t.row(&[
                     collector.to_string(),
                     row.region.clone(),
@@ -516,16 +509,13 @@ pub fn table5(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     }
 }
 
-fn skitter_measures(out: &PipelineOutput) -> Vec<section6::AsMeasures> {
-    let ds = &out
-        .dataset(MapperKind::IxMapper, Collector::Skitter)
-        .dataset;
-    section6::as_measures(ds)
-}
-
 /// Figure 7: AS size CCDFs.
 pub fn fig7(out: &PipelineOutput) -> ExperimentResult {
-    let fig = section6::fig7(&skitter_measures(out));
+    fig7_from(&Shared::new(out))
+}
+
+fn fig7_from(s: &Shared<'_>) -> ExperimentResult {
+    let fig = section6::fig7(s.skitter_measures(MapperKind::IxMapper));
     ExperimentResult {
         id: "fig7".into(),
         title: fig.title.clone(),
@@ -536,7 +526,11 @@ pub fn fig7(out: &PipelineOutput) -> ExperimentResult {
 
 /// Figure 8: AS size-measure scatterplots with correlations.
 pub fn fig8(out: &PipelineOutput) -> ExperimentResult {
-    let (fig, corr) = section6::fig8(&skitter_measures(out));
+    fig8_from(&Shared::new(out))
+}
+
+fn fig8_from(s: &Shared<'_>) -> ExperimentResult {
+    let (fig, corr) = section6::fig8(s.skitter_measures(MapperKind::IxMapper));
     let text = format!(
         "{}\nPearson (log10): interfaces↔locations {:?}, interfaces↔degree {:?}, locations↔degree {:?}\n",
         fig.render(),
@@ -554,12 +548,17 @@ pub fn fig8(out: &PipelineOutput) -> ExperimentResult {
 
 /// Figure 9: CDFs of AS convex-hull areas.
 pub fn fig9(out: &PipelineOutput) -> ExperimentResult {
-    let ds = &out
+    fig9_from(&Shared::new(out))
+}
+
+fn fig9_from(s: &Shared<'_>) -> ExperimentResult {
+    let ds = &s
+        .out
         .dataset(MapperKind::IxMapper, Collector::Skitter)
         .dataset;
-    let measures = section6::as_measures(ds);
-    let fig = section6::fig9(ds, &measures);
-    let zero = section6::zero_hull_fraction(&measures);
+    let measures = s.skitter_measures(MapperKind::IxMapper);
+    let fig = section6::fig9(ds, measures);
+    let zero = section6::zero_hull_fraction(measures);
     ExperimentResult {
         id: "fig9".into(),
         title: fig.title.clone(),
@@ -574,9 +573,13 @@ pub fn fig9(out: &PipelineOutput) -> ExperimentResult {
 
 /// Figure 10: size measures vs convex hull.
 pub fn fig10(out: &PipelineOutput) -> ExperimentResult {
-    let measures = skitter_measures(out);
-    let fig = section6::fig10(&measures);
-    let dispersal = section6::large_as_dispersal(&measures, 20, 1e6);
+    fig10_from(&Shared::new(out))
+}
+
+fn fig10_from(s: &Shared<'_>) -> ExperimentResult {
+    let measures = s.skitter_measures(MapperKind::IxMapper);
+    let fig = section6::fig10(measures);
+    let dispersal = section6::large_as_dispersal(measures, 20, 1e6);
     ExperimentResult {
         id: "fig10".into(),
         title: fig.title.clone(),
@@ -610,28 +613,27 @@ pub fn table6(out: &PipelineOutput) -> ExperimentResult {
 /// point); what matters is that the KS distances are small.
 // analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn robustness(out: &PipelineOutput) -> ExperimentResult {
+    robustness_from(&Shared::new(out))
+}
+
+fn robustness_from(s: &Shared<'_>) -> ExperimentResult {
+    use MapperKind::{EdgeScape, IxMapper};
     let mut t = TextTable::new(
         "Appendix robustness — KS distance between mapper views (Skitter)",
         &["Quantity", "KS statistic", "p-value", "n_eff"],
     );
-    let ds_ix = &out
-        .dataset(MapperKind::IxMapper, Collector::Skitter)
-        .dataset;
-    let ds_es = &out
-        .dataset(MapperKind::EdgeScape, Collector::Skitter)
-        .dataset;
-
-    let lengths = |ds: &crate::pipeline::GeoDataset| -> Vec<f64> {
+    let lengths = |mapper| -> Vec<f64> {
+        let ds = &s.out.dataset(mapper, Collector::Skitter).dataset;
         ds.links.iter().map(|&l| ds.link_length_miles(l)).collect()
     };
-    let as_sizes = |ds: &crate::pipeline::GeoDataset| -> Vec<f64> {
-        section6::as_measures(ds)
+    let as_sizes = |mapper| -> Vec<f64> {
+        s.skitter_measures(mapper)
             .iter()
             .map(|m| m.nodes as f64)
             .collect()
     };
-    let hulls = |ds: &crate::pipeline::GeoDataset| -> Vec<f64> {
-        section6::as_measures(ds)
+    let hulls = |mapper| -> Vec<f64> {
+        s.skitter_measures(mapper)
             .iter()
             .map(|m| m.hull_area)
             .collect()
@@ -639,9 +641,9 @@ pub fn robustness(out: &PipelineOutput) -> ExperimentResult {
 
     let mut rows_json = Vec::new();
     for (name, a, b) in [
-        ("link lengths", lengths(ds_ix), lengths(ds_es)),
-        ("AS sizes", as_sizes(ds_ix), as_sizes(ds_es)),
-        ("hull areas", hulls(ds_ix), hulls(ds_es)),
+        ("link lengths", lengths(IxMapper), lengths(EdgeScape)),
+        ("AS sizes", as_sizes(IxMapper), as_sizes(EdgeScape)),
+        ("hull areas", hulls(IxMapper), hulls(EdgeScape)),
     ] {
         if let Some(ks) = geotopo_stats::ks_two_sample(&a, &b) {
             t.row(&[
@@ -847,6 +849,50 @@ mod tests {
         }
         for r in &results {
             assert!(!r.text.is_empty(), "{} empty", r.id);
+        }
+    }
+
+    /// `run_all` shares its intermediates across results; each public
+    /// entry point computes its own. Both must give the same result, id
+    /// for id, in paper order.
+    #[test]
+    fn run_all_equals_the_public_entry_points() {
+        use MapperKind::{EdgeScape, IxMapper};
+        let out = output();
+        let per_call = [
+            table1(&out),
+            table2(),
+            table3(&out),
+            table4(&out),
+            fig1(&out),
+            fig2(&out, IxMapper),
+            fig4(&out, IxMapper),
+            fig5(&out, IxMapper),
+            fig6(&out, IxMapper),
+            table5(&out, IxMapper),
+            fig7(&out),
+            fig8(&out),
+            fig9(&out),
+            fig10(&out),
+            table6(&out),
+            fractal_dimension(&out),
+            robustness(&out),
+            relabel(fig2(&out, EdgeScape), "fig11", "Figure 11 (EdgeScape)"),
+            relabel(fig4(&out, EdgeScape), "fig12", "Figure 12 (EdgeScape)"),
+            relabel(fig5(&out, EdgeScape), "fig13", "Figure 13 (EdgeScape)"),
+            relabel(fig6(&out, EdgeScape), "fig14", "Figure 14 (EdgeScape)"),
+            relabel(table5(&out, EdgeScape), "table5es", "Table V (EdgeScape)"),
+            fig15(&out),
+            fig16(&out),
+            fig17(&out),
+        ];
+        let shared = run_all(&out);
+        assert_eq!(shared.len(), per_call.len());
+        for (a, b) in shared.iter().zip(&per_call) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.title, b.title, "{}", a.id);
+            assert_eq!(a.text, b.text, "{}", a.id);
+            assert_eq!(a.json.to_string(), b.json.to_string(), "{}", a.id);
         }
     }
 

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! - [`distance_preference`] estimates f̂ for one region (Figure 4). The
-//!   denominator over all node pairs is O(n²); at scale we use a
-//!   grid-convolution estimator (cells of half a bin width; cell pairs
-//!   contribute `n₁·n₂` pairs at their centre distance).
+//!   exact denominator counts every node pair, once per pair of distinct
+//!   locations with multiplicity; at scale we use a grid-convolution
+//!   estimator (cells of half a bin width; cell pairs contribute `n₁·n₂`
+//!   pairs at their centre distance).
 //! - [`fig5_fit`] fits `ln f(d)` on `d` over the small-`d` regime — a
 //!   straight line means Waxman-form exponential decay (Figure 5).
 //! - [`fig6_cumulated`] cumulates f over the large-`d` regime and fits a
@@ -20,7 +21,9 @@
 
 use crate::pipeline::GeoDataset;
 use crate::report::{FigureData, Panel, Series};
-use geotopo_geo::{haversine_miles, PatchGrid, Region, RegionSet};
+use geotopo_geo::{
+    haversine_miles, GeoPoint, PatchCell, PatchGrid, Region, RegionSet, EARTH_RADIUS_MILES,
+};
 use geotopo_stats::{fit_line, fit_semilog, BinnedRatio, LinearFit};
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +83,9 @@ pub struct DistancePreference {
 
 /// Estimates f̂(d) for one region.
 ///
-/// `exact_pairs` forces the O(n²) denominator; otherwise the
-/// grid-convolution approximation is used above 4,000 in-region nodes.
+/// `exact_pairs` forces the exact denominator (quadratic in the number of
+/// distinct in-region locations); otherwise the grid-convolution
+/// approximation is used above 4,000 in-region nodes.
 pub fn distance_preference(
     dataset: &GeoDataset,
     bins: &RegionBins,
@@ -123,46 +127,9 @@ pub fn distance_preference_with_threshold(
 
     // Denominator: node-pair distances.
     if exact_pairs || members.len() <= grid_threshold {
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                binned.add_den(haversine_miles(&members[i], &members[j]));
-            }
-        }
+        exact_pair_counts(&members, &mut binned);
     } else {
-        // Grid convolution: half-bin cells.
-        let cell_arcmin = (bins.bin_miles / 2.0) / 69.0 * 60.0;
-        let grid = PatchGrid::new(region.clone(), cell_arcmin).expect("valid region");
-        let counts = grid.tally(members.iter().copied());
-        let mut occupied: Vec<(usize, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        occupied.sort_unstable();
-        let centers: Vec<_> = occupied
-            .iter()
-            .map(|&(i, _)| {
-                grid.cell_center(geotopo_geo::PatchCell {
-                    row: i / grid.cols(),
-                    col: i % grid.cols(),
-                })
-            })
-            .collect();
-        // Mean distance of two uniform points in a square of side s is
-        // ≈ 0.5214 s; use it for the in-cell pair distance.
-        let cell_miles = bins.bin_miles / 2.0;
-        for (k, &(_, c)) in occupied.iter().enumerate() {
-            if c > 1 {
-                binned.add_den_n(0.5214 * cell_miles, c * (c - 1) / 2);
-            }
-            for (l, &(_, c2)) in occupied.iter().enumerate().skip(k + 1) {
-                let d = haversine_miles(&centers[k], &centers[l]);
-                if d < bins.bin_miles * bins.n_bins as f64 {
-                    binned.add_den_n(d, c * c2);
-                }
-            }
-        }
+        grid_pair_counts(bins, &members, &mut binned);
     }
 
     DistancePreference {
@@ -171,6 +138,133 @@ pub fn distance_preference_with_threshold(
         small_d_miles: bins.small_d_miles,
         n_nodes: members.len(),
         n_links,
+    }
+}
+
+/// Exact denominator: every pair of `members` at its great-circle
+/// distance. City-granular mapping stacks many nodes on one point, so the
+/// pairs are counted once per pair of distinct locations, with
+/// multiplicity `n_u·n_v` (`n_u(n_u−1)/2` within one location). Each
+/// distance is the one the per-node-pair loop computes, up to argument
+/// order, and `haversine_miles` is bitwise symmetric.
+fn exact_pair_counts(members: &[GeoPoint], binned: &mut BinnedRatio) {
+    let key = |p: &GeoPoint| (p.lat().to_bits(), p.lon().to_bits());
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable_by_key(key);
+    let mut locations: Vec<(GeoPoint, u64)> = Vec::new();
+    for p in sorted {
+        match locations.last_mut() {
+            Some((q, n)) if key(q) == key(&p) => *n += 1,
+            _ => locations.push((p, 1)),
+        }
+    }
+    for (k, &(p, n)) in locations.iter().enumerate() {
+        if n > 1 {
+            binned.add_den_n(haversine_miles(&p, &p), n * (n - 1) / 2);
+        }
+        for &(q, m) in &locations[k + 1..] {
+            binned.add_den_n(haversine_miles(&p, &q), n * m);
+        }
+    }
+}
+
+/// Grid-convolution denominator: half-bin cells, each occupied cell pair
+/// contributing `n₁·n₂` pairs at its centre distance.
+fn grid_pair_counts(bins: &RegionBins, members: &[GeoPoint], binned: &mut BinnedRatio) {
+    let cell_arcmin = (bins.bin_miles / 2.0) / 69.0 * 60.0;
+    let grid = PatchGrid::new(bins.region.clone(), cell_arcmin).expect("valid region");
+    let cols = grid.cols();
+    let occupied: Vec<(PatchCell, u64)> = grid
+        .tally(members.iter().copied())
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, c)| c > 0)
+        .map(|(i, c)| {
+            let cell = PatchCell {
+                row: i / cols,
+                col: i % cols,
+            };
+            (cell, c)
+        })
+        .collect();
+    let centres = CentreDistances::new(&grid);
+
+    // Mean distance of two uniform points in a square of side s is
+    // ≈ 0.5214 s; use it for the in-cell pair distance.
+    let cell_miles = bins.bin_miles / 2.0;
+    let max_miles = bins.bin_miles * bins.n_bins as f64;
+    for (k, &(a, n1)) in occupied.iter().enumerate() {
+        if n1 > 1 {
+            binned.add_den_n(0.5214 * cell_miles, n1 * (n1 - 1) / 2);
+        }
+        for &(b, n2) in &occupied[k + 1..] {
+            let d = centres.miles(a, b);
+            if d < max_miles {
+                binned.add_den_n(d, n1 * n2);
+            }
+        }
+    }
+}
+
+/// Great-circle distances between the cell centres of one [`PatchGrid`].
+///
+/// `haversine_miles(p, q)` is `R·2·asin(√h)` with
+/// `h = sin²(Δlat/2) + cos(lat_p)·cos(lat_q)·sin²(Δlon/2)`. A cell
+/// centre's latitude depends only on its row and its longitude only on
+/// its column, so the three terms come from per-row-pair and
+/// per-column-pair tables, and what is left per cell pair is the same
+/// operations on the same operands: every distance is bit-identical to
+/// `haversine_miles` on the two centres.
+struct CentreDistances {
+    rows: usize,
+    cols: usize,
+    /// `sin²((lat_q − lat_p)/2)`, indexed `row_p · rows + row_q`.
+    sin2_dlat: Vec<f64>,
+    /// `cos(lat_p)·cos(lat_q)`, indexed like `sin2_dlat`.
+    cos_cos: Vec<f64>,
+    /// `sin²((lon_q − lon_p)/2)`, indexed `col_p · cols + col_q`.
+    sin2_dlon: Vec<f64>,
+}
+
+impl CentreDistances {
+    fn new(grid: &PatchGrid) -> Self {
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let lat: Vec<f64> = (0..rows)
+            .map(|row| grid.cell_center(PatchCell { row, col: 0 }).lat_rad())
+            .collect();
+        let lon: Vec<f64> = (0..cols)
+            .map(|col| grid.cell_center(PatchCell { row: 0, col }).lon_rad())
+            .collect();
+        let cos_lat: Vec<f64> = lat.iter().map(|l| l.cos()).collect();
+        let mut sin2_dlat = Vec::with_capacity(rows * rows);
+        let mut cos_cos = Vec::with_capacity(rows * rows);
+        for (&lat_p, &cos_p) in lat.iter().zip(&cos_lat) {
+            for (&lat_q, &cos_q) in lat.iter().zip(&cos_lat) {
+                sin2_dlat.push(((lat_q - lat_p) / 2.0).sin().powi(2));
+                cos_cos.push(cos_p * cos_q);
+            }
+        }
+        let mut sin2_dlon = Vec::with_capacity(cols * cols);
+        for &lon_p in &lon {
+            for &lon_q in &lon {
+                sin2_dlon.push(((lon_q - lon_p) / 2.0).sin().powi(2));
+            }
+        }
+        CentreDistances {
+            rows,
+            cols,
+            sin2_dlat,
+            cos_cos,
+            sin2_dlon,
+        }
+    }
+
+    /// `haversine_miles` between the centres of cells `p` and `q`.
+    fn miles(&self, p: PatchCell, q: PatchCell) -> f64 {
+        let rows = p.row * self.rows + q.row;
+        let h =
+            self.sin2_dlat[rows] + self.cos_cos[rows] * self.sin2_dlon[p.col * self.cols + q.col];
+        EARTH_RADIUS_MILES * (2.0 * h.sqrt().clamp(0.0, 1.0).asin())
     }
 }
 
@@ -299,8 +393,8 @@ mod tests {
     use super::*;
     use crate::pipeline::GeoNode;
     use geotopo_bgp::AsId;
-    use geotopo_geo::GeoPoint;
     use geotopo_measure::NodeKind;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -365,6 +459,171 @@ mod tests {
             nodes,
             links,
             stats: Default::default(),
+        }
+    }
+
+    /// The estimator as it was before pairs were grouped by location and
+    /// the grid's haversine terms tabulated: one haversine per node pair
+    /// on the exact path, one per occupied cell pair on the grid path.
+    /// Kept as the reference the faster denominators must equal exactly.
+    fn reference_binned(dataset: &GeoDataset, bins: &RegionBins, exact_pairs: bool) -> BinnedRatio {
+        let region = &bins.region;
+        let mut binned = BinnedRatio::new(bins.bin_miles, bins.n_bins);
+        let mut in_region = vec![false; dataset.nodes.len()];
+        let mut members = Vec::new();
+        for (i, n) in dataset.nodes.iter().enumerate() {
+            if region.contains(&n.location) {
+                in_region[i] = true;
+                members.push(n.location);
+            }
+        }
+        for &(a, b) in &dataset.links {
+            if in_region[a as usize] && in_region[b as usize] {
+                binned.add_num(dataset.link_length_miles((a, b)));
+            }
+        }
+        if exact_pairs {
+            for i in 0..members.len() {
+                for j in (i + 1)..members.len() {
+                    binned.add_den(haversine_miles(&members[i], &members[j]));
+                }
+            }
+        } else {
+            let cell_arcmin = (bins.bin_miles / 2.0) / 69.0 * 60.0;
+            let grid = PatchGrid::new(region.clone(), cell_arcmin).unwrap();
+            let counts = grid.tally(members.iter().copied());
+            let mut occupied: Vec<(usize, u64)> = counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| (i, c))
+                .collect();
+            occupied.sort_unstable();
+            let centers: Vec<_> = occupied
+                .iter()
+                .map(|&(i, _)| {
+                    grid.cell_center(PatchCell {
+                        row: i / grid.cols(),
+                        col: i % grid.cols(),
+                    })
+                })
+                .collect();
+            let cell_miles = bins.bin_miles / 2.0;
+            for (k, &(_, c)) in occupied.iter().enumerate() {
+                if c > 1 {
+                    binned.add_den_n(0.5214 * cell_miles, c * (c - 1) / 2);
+                }
+                for (l, &(_, c2)) in occupied.iter().enumerate().skip(k + 1) {
+                    let d = haversine_miles(&centers[k], &centers[l]);
+                    if d < bins.bin_miles * bins.n_bins as f64 {
+                        binned.add_den_n(d, c * c2);
+                    }
+                }
+            }
+        }
+        binned
+    }
+
+    /// Nodes over the three study regions the way city-granular mapping
+    /// places them: `cities` points each holding a stack of nodes, plus
+    /// `scattered` nodes at distinct points, and random links.
+    fn stacked_dataset(seed: u64, cities: usize, scattered: usize) -> GeoDataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let regions = RegionBins::paper();
+        let point = |rng: &mut StdRng| {
+            let r = &regions[rng.random_range(0..regions.len())].region;
+            let lat = rng.random_range(r.south..r.north);
+            let lon = rng.random_range(r.west..r.east);
+            GeoPoint::new(lat, lon).unwrap()
+        };
+        let mut locations = Vec::new();
+        for _ in 0..cities {
+            let p = point(&mut rng);
+            for _ in 0..rng.random_range(1..40) {
+                locations.push(p);
+            }
+        }
+        for _ in 0..scattered {
+            locations.push(point(&mut rng));
+        }
+        let nodes: Vec<GeoNode> = locations
+            .into_iter()
+            .enumerate()
+            .map(|(i, location)| GeoNode {
+                ip: std::net::Ipv4Addr::from(0x01000000 + i as u32),
+                location,
+                asn: AsId(1),
+            })
+            .collect();
+        let n = nodes.len() as u32;
+        let links = (0..n)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        GeoDataset {
+            kind: NodeKind::Interface,
+            nodes,
+            links,
+            stats: Default::default(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn denominators_equal_the_reference_loops(
+            seed in any::<u64>(),
+            cities in 1usize..8,
+            scattered in 0usize..150,
+        ) {
+            let d = stacked_dataset(seed, cities, scattered);
+            for bins in RegionBins::paper() {
+                let exact = distance_preference(&d, &bins, true);
+                let reference = reference_binned(&d, &bins, true);
+                prop_assert_eq!(exact.binned.ratios(), reference.ratios());
+                prop_assert_eq!(exact.binned.den_total(), reference.den_total());
+                let grid = distance_preference_with_threshold(&d, &bins, false, 0);
+                let reference = reference_binned(&d, &bins, false);
+                prop_assert_eq!(grid.binned.ratios(), reference.ratios());
+                prop_assert_eq!(grid.binned.den_total(), reference.den_total());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn haversine_is_bitwise_symmetric(
+            lat1 in -90.0f64..90.0,
+            lon1 in -180.0f64..180.0,
+            lat2 in -90.0f64..90.0,
+            lon2 in -180.0f64..180.0,
+        ) {
+            let p = GeoPoint::new(lat1, lon1).unwrap();
+            let q = GeoPoint::new(lat2, lon2).unwrap();
+            prop_assert_eq!(haversine_miles(&p, &q).to_bits(), haversine_miles(&q, &p).to_bits());
+        }
+    }
+
+    #[test]
+    fn tabulated_centre_distances_are_haversine_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for bins in RegionBins::paper() {
+            let cell_arcmin = (bins.bin_miles / 2.0) / 69.0 * 60.0;
+            let grid = PatchGrid::new(bins.region.clone(), cell_arcmin).unwrap();
+            let centres = CentreDistances::new(&grid);
+            let cell = |rng: &mut StdRng| PatchCell {
+                row: rng.random_range(0..grid.rows()),
+                col: rng.random_range(0..grid.cols()),
+            };
+            for _ in 0..20_000 {
+                let (p, q) = (cell(&mut rng), cell(&mut rng));
+                let want = haversine_miles(&grid.cell_center(p), &grid.cell_center(q));
+                assert_eq!(
+                    centres.miles(p, q).to_bits(),
+                    want.to_bits(),
+                    "{} {p:?} {q:?}",
+                    bins.region.name
+                );
+            }
         }
     }
 
