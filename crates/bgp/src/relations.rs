@@ -8,7 +8,7 @@
 //! never flows uphill twice.
 //!
 //! Relationships are inferred with the classic size heuristic the
-//! paper's reference [36] leans on (degree/size determines role): on an
+//! paper's reference \[36\] leans on (degree/size determines role): on an
 //! AS-graph edge, the much larger AS is the provider; similar sizes
 //! peer.
 

@@ -76,9 +76,6 @@ impl ArtifactStore {
     /// kill between temp-write and rename: they were never published, so
     /// deleting them is always safe and keeps the cache directory free
     /// of unreferenced partial writes.
-    // analyze: allow(dead-pub): the chaos suite (tests/chaos.rs) and the
-    // reproduce_paper --chaos flag construct fault-injected stores; tests
-    // and examples are outside the analyzer's source use-graph
     pub fn with_disk_vfs(dir: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> Self {
         let store = ArtifactStore {
             disk: Some(dir.into()),

@@ -130,7 +130,6 @@ pub fn run_all(out: &PipelineOutput) -> Vec<ExperimentResult> {
 }
 
 /// Figure 15: AS size distributions under EdgeScape.
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig15(out: &PipelineOutput) -> ExperimentResult {
     fig15_from(&Shared::new(out))
 }
@@ -146,7 +145,6 @@ fn fig15_from(s: &Shared<'_>) -> ExperimentResult {
 }
 
 /// Figure 16: AS size scatterplots under EdgeScape.
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig16(out: &PipelineOutput) -> ExperimentResult {
     fig16_from(&Shared::new(out))
 }
@@ -162,7 +160,6 @@ fn fig16_from(s: &Shared<'_>) -> ExperimentResult {
 }
 
 /// Figure 17: size vs convex hull under EdgeScape.
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig17(out: &PipelineOutput) -> ExperimentResult {
     fig17_from(&Shared::new(out))
 }
@@ -211,7 +208,6 @@ pub fn table1(out: &PipelineOutput) -> ExperimentResult {
 }
 
 /// Table II: region boundaries (constants).
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn table2() -> ExperimentResult {
     let mut t = TextTable::new(
         "Table II — Boundaries of regions studied",
@@ -433,7 +429,6 @@ fn fig5_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
 }
 
 /// Figure 6: cumulated preference over large d with linear fits.
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn fig6(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
     fig6_from(&Shared::new(out), mapper)
 }
@@ -611,7 +606,6 @@ pub fn table6(out: &PipelineOutput) -> ExperimentResult {
 /// figures are built from are compared directly. Perfect agreement is
 /// not expected (the tools have different error models — that is the
 /// point); what matters is that the KS distances are small.
-// analyze: allow(dead-pub): paper-surface API — individually addressable artifact also produced by run_all
 pub fn robustness(out: &PipelineOutput) -> ExperimentResult {
     robustness_from(&Shared::new(out))
 }

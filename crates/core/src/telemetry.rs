@@ -35,8 +35,8 @@ use std::sync::{Mutex, PoisonError};
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// A monotonic wall-clock stopwatch — the only sanctioned timing source
-/// outside this module (GT-LINT-010 bans ad-hoc `Instant::now()`
-/// elsewhere). Timing is observational: elapsed values go into reports
+/// outside this module (GT-LINT-002 bans wall-clock reads everywhere
+/// else). Timing is observational: elapsed values go into reports
 /// and span metrics, never into artifacts or fingerprints.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
@@ -47,7 +47,6 @@ impl Stopwatch {
     /// Starts timing now.
     pub fn start() -> Self {
         Stopwatch {
-            // lint: allow(wall_clock): the telemetry module is the sanctioned timing source
             start: std::time::Instant::now(),
         }
     }
@@ -296,8 +295,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
     peak_rss_bytes_via(&crate::vfs::RealVfs)
 }
 
-/// [`peak_rss_bytes`] with the read path injected through the [`Vfs`]
-/// (crate::vfs::Vfs) seam, so the degradation paths (unreadable file,
+/// [`peak_rss_bytes`] with the read path injected through the
+/// [`Vfs`](crate::vfs::Vfs) seam, so the degradation paths (unreadable file,
 /// non-UTF-8 content, malformed `VmHWM` line) are unit-testable without
 /// unmounting `/proc`.
 pub fn peak_rss_bytes_via(vfs: &dyn crate::vfs::Vfs) -> Option<u64> {
@@ -475,7 +474,6 @@ mod tests {
     #[test]
     fn concurrent_counts_are_order_independent() {
         let t = Telemetry::new();
-        // lint: allow(thread): exercising the registry's thread-safety contract
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {

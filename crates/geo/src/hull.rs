@@ -47,7 +47,6 @@ pub fn convex_hull(points: &[PlanarPoint]) -> Vec<PlanarPoint> {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal))
     });
-    // lint: allow(float_eq): dedup wants bitwise-identical points only
     #[allow(clippy::float_cmp)]
     pts.dedup_by(|a, b| a.x == b.x && a.y == b.y);
     let n = pts.len();

@@ -4,7 +4,7 @@
 //! codes in router hostnames. This gazetteer is the vocabulary both
 //! sides share: the hostname synthesizer picks the nearest city's code,
 //! and the parsers resolve codes back to coordinates. City-granularity
-//! accuracy is therefore inherent, exactly as in [28].
+//! accuracy is therefore inherent, exactly as in \[28\].
 
 use geotopo_geo::{haversine_miles, GeoPoint};
 use geotopo_population::PopulationGrid;

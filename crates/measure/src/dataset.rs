@@ -81,7 +81,6 @@ pub enum NodeKind {
 
 /// One measured node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): element type of the pub nodes() slice; iterated without naming the type
 pub struct MeasuredNode {
     /// Canonical address (for routers: the lowest resolved alias).
     pub ip: Ipv4Addr,

@@ -186,7 +186,6 @@ impl PopulationGrid {
 /// each `PopulationGrid` as soon as its sampler is built, bounding peak
 /// memory to one resident raster at a time.
 #[derive(Debug, Clone)]
-// analyze: allow(dead-pub): returned by PopulationGrid::point_sampler; driven without naming the type
 pub struct PointSampler {
     grid: PatchGrid,
     table: AliasTable,

@@ -1,6 +1,6 @@
 //! Synthetic gridded population — the workspace's substitute for the
 //! CIESIN "Gridded Population of the World" dataset the paper uses
-//! (Section IV, reference [6]).
+//! (Section IV, reference \[6\]).
 //!
 //! The paper tallies population inside 75-arcmin patches and regresses
 //! router counts against it. What that analysis needs from the population

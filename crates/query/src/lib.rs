@@ -350,7 +350,6 @@ mod tests {
             assert!(ans.matched_len.is_some());
             if u32::from(*ip) % 2 == 0 {
                 let loc = ans.location.expect("even hosts resolve");
-                // lint: allow(float_eq): frozen copy of the exact same value
                 #[allow(clippy::float_cmp)]
                 {
                     assert!(loc.lat() == ctx.true_location.lat());

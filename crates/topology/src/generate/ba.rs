@@ -2,7 +2,7 @@
 //!
 //! Grows a graph by attaching each new node to `m` existing nodes with
 //! probability proportional to their current degree, producing the
-//! power-law degree distributions of [2]. Placement is uniform — the
+//! power-law degree distributions of \[2\]. Placement is uniform — the
 //! model is geometry-free, which is exactly the contrast the paper draws
 //! against distance-sensitive link formation.
 

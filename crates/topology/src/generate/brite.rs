@@ -1,7 +1,7 @@
 //! A BRITE-flavoured generator.
 //!
 //! BRITE (Medina, Lakhina, Matta, Byers — the same group as the paper,
-//! reference [25]) grows a router-level graph incrementally, joining
+//! reference \[25\]) grows a router-level graph incrementally, joining
 //! each new node to `m` existing nodes with probability combining
 //! **preferential connectivity** (∝ current degree) and **Waxman
 //! distance preference** (∝ exp(−d/(αL))). This reproduces BRITE's

@@ -1,6 +1,6 @@
 //! A GT-ITM-style transit-stub hierarchy baseline.
 //!
-//! Structural models (Tiers, GT-ITM; the paper's [9], [41]) "chose a
+//! Structural models (Tiers, GT-ITM; the paper's \[9\], \[41\]) "chose a
 //! different tack, building an explicit hierarchy into their topologies".
 //! This generator builds a two-level transit-stub graph: a ring+chords
 //! core of transit domains, each transit router sponsoring a handful of

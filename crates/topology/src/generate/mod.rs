@@ -3,12 +3,12 @@
 //! - [`ground_truth`]: the synthetic geographic Internet that every
 //!   experiment in the reproduction measures (the paper's real-world
 //!   counterpart is the Internet itself).
-//! - [`waxman`]: the Waxman model [38] — uniform random placement,
+//! - [`waxman()`]: the Waxman model \[38\] — uniform random placement,
 //!   exponentially distance-decaying connection probability.
-//! - [`erdos_renyi`]: the Erdős–Rényi random graph [10].
-//! - [`barabasi_albert`]: preferential attachment [2].
-//! - [`transit_stub`]: a GT-ITM-style two-level hierarchy [41].
-//! - [`geogen`]: the geography-aware next-generation generator the paper
+//! - [`erdos_renyi`]: the Erdős–Rényi random graph \[10\].
+//! - [`barabasi_albert`]: preferential attachment \[2\].
+//! - [`transit_stub`]: a GT-ITM-style two-level hierarchy \[41\].
+//! - [`geogen()`]: the geography-aware next-generation generator the paper
 //!   envisions — population-driven placement, mixed distance-sensitive /
 //!   distance-independent link formation, AS labels and latencies.
 

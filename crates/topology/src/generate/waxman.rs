@@ -1,6 +1,6 @@
 //! The Waxman topology model.
 //!
-//! Waxman [38] places `n` nodes uniformly at random in the plane and
+//! Waxman \[38\] places `n` nodes uniformly at random in the plane and
 //! connects each pair with probability
 //!
 //! ```text

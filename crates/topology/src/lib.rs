@@ -14,10 +14,10 @@
 //!   application for geography-aware generation).
 //! - [`generate`]: topology generators —
 //!   [`generate::GroundTruthConfig`] builds the synthetic Internet every
-//!   experiment measures; [`generate::waxman`], [`generate::erdos_renyi`],
+//!   experiment measures; [`generate::waxman()`], [`generate::erdos_renyi`],
 //!   [`generate::barabasi_albert`] and [`generate::transit_stub`] are the
 //!   baseline models the paper discusses (Section II); and
-//!   [`generate::geogen`] is the *geography-aware next-generation
+//!   [`generate::geogen()`] is the *geography-aware next-generation
 //!   generator* the paper envisions in its conclusion — router graphs
 //!   annotated with link latencies, AS identifiers and locations.
 

@@ -78,7 +78,7 @@ pub fn intradomain_fraction(t: &Topology) -> f64 {
 
 /// Average local clustering coefficient (Watts–Strogatz): the mean over
 /// routers of degree ≥ 2 of the fraction of neighbour pairs that are
-/// themselves linked. The paper's reference [37] (small worlds) is about
+/// themselves linked. The paper's reference \[37\] (small worlds) is about
 /// exactly this quantity's interaction with a few long-range links.
 pub fn clustering_coefficient(t: &Topology) -> f64 {
     let mut total = 0.0;

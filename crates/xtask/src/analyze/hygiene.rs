@@ -1,23 +1,17 @@
-//! GT-AN-003: cross-crate hygiene from the real use-graph.
+//! GT-AN-003: no dead workspace-`pub`.
 //!
-//! Two halves:
+//! A `pub` item that no other crate, no test, no bench and no other file
+//! of its own crate ever names is surface area without users — either
+//! shrink it to `pub(crate)` or mark it `// analyze: allow(dead-pub)`
+//! with the reason it must stay public (e.g. downstream-facing API
+//! documented in the README).
 //!
-//! 1. **Layering, recomputed from source.** GT-LINT-006 checks the
-//!    *declared* manifest edges; this half checks the *actual* import
-//!    edges observed as `geotopo_*` paths in code, against the same
-//!    shared table in [`crate::layers`]. A crate that declares a legal
-//!    dependency but reaches an illegal crate through a re-export shows
-//!    up here and nowhere else.
-//!
-//! 2. **Dead workspace-`pub`.** A `pub` item that no other crate, no
-//!    test, no bench and no other file of its own crate ever names is
-//!    surface area without users — either shrink it to `pub(crate)` or
-//!    mark it `// analyze: allow(dead-pub)` with the reason it must stay
-//!    public (e.g. downstream-facing API documented in the README).
+//! Layering is GT-LINT-006's alone: a `geotopo_*` path in library code
+//! compiles only if the manifest declares the crate, so the manifest
+//! edges that rule checks are every edge the source can have.
 
 use super::AnalyzeRule;
 use crate::graph::{public_items, Model};
-use crate::layers::layer_of;
 use crate::lexer::TokenKind;
 use crate::rules::Finding;
 use std::collections::{HashMap, HashSet};
@@ -32,86 +26,26 @@ impl AnalyzeRule for CrossCrateHygiene {
     }
 
     fn describe(&self) -> &'static str {
-        "use-graph layering plus detection of unreferenced workspace-pub items"
+        "no workspace-pub item left unreferenced outside its defining file"
     }
 
     fn explain(&self) -> &'static str {
-        "GT-AN-003 cross-crate hygiene\n\
+        "GT-AN-003 cross-crate hygiene: dead workspace-pub\n\
          \n\
-         Layering: the sanctioned layer DAG (see DESIGN.md and xtask's\n\
-         `layers` module) is re-checked against the *actual* `geotopo_*`\n\
-         import edges observed in source, not just the manifests GT-LINT-006\n\
-         reads. Test code is exempt (tests may reach anywhere); `xtask` may\n\
-         import no geotopo crate at all. Each finding points at the first\n\
-         import site of the offending edge. There is no allow marker — a new\n\
-         edge means the table must change deliberately.\n\
-         \n\
-         Dead pub: a `pub` item (fn, struct, enum, trait, const, static, type\n\
-         alias) that is never named outside its own defining file — not in\n\
+         A `pub` item (fn, struct, enum, trait, const, static, type alias)\n\
+         that is never named outside its own defining file — not in\n\
          another crate, not in any test/bench/example, not in a test region,\n\
          not elsewhere in its own crate — is unused public surface. Fix by\n\
          shrinking visibility, deleting the item, or marking the definition\n\
          line `// analyze: allow(dead-pub)` with the reason it must stay\n\
          public. The `xtask` crate itself and `main` are exempt (its library\n\
-         surface exists for its own bin and tests)."
+         surface exists for its own bin and tests).\n\
+         \n\
+         Crate layering is GT-LINT-006's: it checks the manifests, which\n\
+         declare every crate a `geotopo_*` path can name."
     }
 
     fn check(&self, model: &Model<'_>) -> Vec<Finding> {
-        let mut out = self.check_layering(model);
-        out.extend(self.check_dead_pub(model));
-        out
-    }
-}
-
-impl CrossCrateHygiene {
-    fn check_layering(&self, model: &Model<'_>) -> Vec<Finding> {
-        let mut out = Vec::new();
-        for edge in &model.use_edges {
-            let path = model.path(edge.file).clone();
-            if edge.from == "xtask" {
-                out.push(Finding {
-                    file: path,
-                    line: edge.line,
-                    rule: self.id(),
-                    message: format!(
-                        "xtask imports `{}`; the lint runner must have no geotopo \
-                         dependencies so it builds even when the pipeline is broken",
-                        edge.to
-                    ),
-                });
-                continue;
-            }
-            let Some(from_layer) = layer_of(&edge.from) else {
-                out.push(Finding {
-                    file: path,
-                    line: edge.line,
-                    rule: self.id(),
-                    message: format!(
-                        "crate `{}` is not in the sanctioned layer map but imports `{}`; \
-                         add it to xtask's layer table and DESIGN.md",
-                        edge.from, edge.to
-                    ),
-                });
-                continue;
-            };
-            let to_layer = layer_of(&edge.to).unwrap_or(u32::MAX);
-            if to_layer >= from_layer {
-                out.push(Finding {
-                    file: path,
-                    line: edge.line,
-                    rule: self.id(),
-                    message: format!(
-                        "`{}` (layer {from_layer}) imports `{}` (layer {to_layer}) in \
-                         source; edges must point strictly down the DAG",
-                        edge.from, edge.to
-                    ),
-                });
-            }
-        }
-        out
-    }
-
-    fn check_dead_pub(&self, model: &Model<'_>) -> Vec<Finding> {
         let ws = model.workspace();
         // Per-file ident occurrence map over src files, and a global set
         // of idents in reference trees (tests/benches/examples).
@@ -201,69 +135,6 @@ mod tests {
                 .map(|(p, s)| SourceFile::from_str(p, s))
                 .collect(),
         }
-    }
-
-    #[test]
-    fn upward_source_import_flagged_at_witness_line() {
-        let ws = WorkspaceSrc {
-            crates: vec![
-                krate(
-                    "geotopo-geo",
-                    &[(
-                        "crates/geo/src/lib.rs",
-                        "use geotopo_core::engine::Engine;\npub fn f() { let _ = Engine; }\n",
-                    )],
-                    &[],
-                ),
-                krate("geotopo-core", &[], &[]),
-            ],
-        };
-        let model = Model::build(&ws);
-        let f: Vec<_> = CrossCrateHygiene
-            .check(&model)
-            .into_iter()
-            .filter(|f| f.message.contains("imports"))
-            .collect();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("strictly down"));
-    }
-
-    #[test]
-    fn downward_source_import_clean() {
-        let ws = WorkspaceSrc {
-            crates: vec![
-                krate(
-                    "geotopo-measure",
-                    &[(
-                        "crates/measure/src/lib.rs",
-                        "use geotopo_geo::GeoPoint;\npub fn f(p: GeoPoint) { let _ = p; }\n",
-                    )],
-                    &[("crates/measure/tests/t.rs", "use geotopo_measure::f;\n")],
-                ),
-                krate("geotopo-geo", &[], &[]),
-            ],
-        };
-        let model = Model::build(&ws);
-        assert!(CrossCrateHygiene.check(&model).is_empty());
-    }
-
-    #[test]
-    fn xtask_imports_are_always_flagged() {
-        let ws = WorkspaceSrc {
-            crates: vec![
-                krate(
-                    "xtask",
-                    &[("crates/xtask/src/lib.rs", "use geotopo_geo::p;\n")],
-                    &[],
-                ),
-                krate("geotopo-geo", &[], &[]),
-            ],
-        };
-        let model = Model::build(&ws);
-        let f = CrossCrateHygiene.check(&model);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("lint runner"));
     }
 
     #[test]

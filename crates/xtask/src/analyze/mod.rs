@@ -1,8 +1,8 @@
 //! The semantic analyzer catalog (`cargo xtask analyze`).
 //!
-//! Where the `GT-LINT` rules in [`crate::rules`] see one masked line at
-//! a time, the `GT-AN` rules here see the workspace [`Model`]: item
-//! trees, a call graph, and the crate-level use-graph. That buys
+//! Where the `GT-LINT` rules in [`crate::rules`] match token runs one
+//! file at a time, the `GT-AN` rules here see the workspace [`Model`]:
+//! item trees, a call graph, and the crate-level use-graph. That buys
 //! *reachability* — "no panic transitively callable from a supervised
 //! stage" instead of "no `.unwrap()` under this path prefix" — at the
 //! price of name-resolution-lite imprecision, which the model keeps on

@@ -82,7 +82,10 @@ impl AnalyzeRule for PanicReach {
          above, or the enclosing fn header (item-scoped), with a comment saying\n\
          why the panic cannot fire. `// lint: allow(unwrap)` also waives\n\
          unwrap/expect sites so existing GT-LINT-003 markers keep working.\n\
-         This rule supersedes GT-LINT-009's path-prefix heuristic."
+         \n\
+         GT-LINT-003 bans unwrap/expect textually in the substrate crates\n\
+         and core's engine, reachable or not; this rule follows calls into\n\
+         every crate and also catches panic macros and strict indexing."
     }
 
     fn check(&self, model: &Model<'_>) -> Vec<Finding> {

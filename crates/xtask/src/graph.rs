@@ -99,20 +99,7 @@ impl FnNode {
     }
 }
 
-/// One crate-to-crate import edge observed in source.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct UseEdge {
-    /// Importing crate.
-    pub from: String,
-    /// Imported geotopo crate.
-    pub to: String,
-    /// Witness file (index into [`Model::files`]).
-    pub file: usize,
-    /// Witness line.
-    pub line: usize,
-}
-
-/// The workspace model: files, functions, call graph, use-graph.
+/// The workspace model: files, functions, call graph.
 pub struct Model<'ws> {
     /// Flat file list as `(crate index, file index)` into the workspace.
     pub files: Vec<(usize, usize)>,
@@ -120,8 +107,6 @@ pub struct Model<'ws> {
     pub fns: Vec<FnNode>,
     /// Call-graph adjacency: `edges[f]` are callee indices, sorted.
     pub edges: Vec<Vec<u32>>,
-    /// Crate-level use edges, sorted and deduped by (from, to).
-    pub use_edges: Vec<UseEdge>,
     ws: &'ws WorkspaceSrc,
 }
 
@@ -130,7 +115,6 @@ impl std::fmt::Debug for Model<'_> {
         f.debug_struct("Model")
             .field("files", &self.files.len())
             .field("fns", &self.fns.len())
-            .field("use_edges", &self.use_edges.len())
             .finish_non_exhaustive()
     }
 }
@@ -162,14 +146,12 @@ impl<'ws> Model<'ws> {
         }
         fns.sort_by_key(|f| (f.file, f.line));
 
-        let use_edges = collect_use_edges(ws, &files);
-        let edges = resolve_edges(&fns, &use_edges);
+        let edges = resolve_edges(&fns, &collect_use_edges(ws));
 
         Model {
             files,
             fns,
             edges,
-            use_edges,
             ws,
         }
     }
@@ -464,11 +446,7 @@ fn extract_sites(src: &str, toks: &[Token]) -> (Vec<CallSite>, Vec<MacroUse>, Ve
 /// resolve to any same-named workspace method — e.g. an `Option::map`
 /// inside `bgp` fanning out to a geomap method `map` that `bgp` cannot
 /// even name.
-fn resolve_edges(fns: &[FnNode], use_edges: &[UseEdge]) -> Vec<Vec<u32>> {
-    let mut imports: HashMap<&str, HashSet<&str>> = HashMap::new();
-    for e in use_edges {
-        imports.entry(&e.from).or_default().insert(&e.to);
-    }
+fn resolve_edges(fns: &[FnNode], imports: &HashMap<&str, HashSet<&str>>) -> Vec<Vec<u32>> {
     // Index maps. Values are pushed in fn order, so they are sorted.
     let mut methods_by_name: HashMap<&str, Vec<u32>> = HashMap::new();
     let mut assoc_by_type_fn: HashMap<(&str, &str), Vec<u32>> = HashMap::new();
@@ -567,47 +545,32 @@ fn resolve_edges(fns: &[FnNode], use_edges: &[UseEdge]) -> Vec<Vec<u32>> {
 }
 
 /// Scans every file for `geotopo_*` idents in non-test code, producing
-/// the crate-level use-graph with one witness site per edge.
-fn collect_use_edges(ws: &WorkspaceSrc, files: &[(usize, usize)]) -> Vec<UseEdge> {
+/// the crate-level use-graph: importer crate to the crates it names.
+fn collect_use_edges(ws: &WorkspaceSrc) -> HashMap<&str, HashSet<&str>> {
     // Only idents that name an actual workspace crate count as import
     // edges: a fn or variable that happens to start with `geotopo_`
-    // (e.g. xtask's own `geotopo_dependencies` helper) is not an edge.
+    // is not an edge.
     let crate_names: HashSet<&str> = ws.crates.iter().map(|c| c.name.as_str()).collect();
-    let mut seen: HashSet<(String, String)> = HashSet::new();
-    let mut out: Vec<UseEdge> = Vec::new();
-    for (idx, &(ci, fi)) in files.iter().enumerate() {
-        let c = &ws.crates[ci];
-        let sf = &c.files[fi];
-        for t in &sf.tree.tokens {
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let s = t.text(&sf.raw);
-            if !s.starts_with("geotopo") {
-                continue;
-            }
-            let target = if s == "geotopo" {
-                "geotopo".to_string()
-            } else if let Some(rest) = s.strip_prefix("geotopo_") {
-                format!("geotopo-{}", rest.replace('_', "-"))
-            } else {
-                continue;
-            };
-            if target == c.name || !crate_names.contains(target.as_str()) || sf.is_test_line(t.line)
-            {
-                continue;
-            }
-            if seen.insert((c.name.clone(), target.clone())) {
-                out.push(UseEdge {
-                    from: c.name.clone(),
-                    to: target,
-                    file: idx,
-                    line: t.line,
-                });
+    let mut out: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for c in &ws.crates {
+        for sf in &c.files {
+            for t in sf.tree.tokens.iter().filter(|t| t.kind == TokenKind::Ident) {
+                let s = t.text(&sf.raw);
+                let target = if s == "geotopo" {
+                    s.to_string()
+                } else if let Some(rest) = s.strip_prefix("geotopo_") {
+                    format!("geotopo-{}", rest.replace('_', "-"))
+                } else {
+                    continue;
+                };
+                if let Some(&to) = crate_names.get(target.as_str()) {
+                    if to != c.name && !sf.is_test_line(t.line) {
+                        out.entry(c.name.as_str()).or_default().insert(to);
+                    }
+                }
             }
         }
     }
-    out.sort();
     out
 }
 
@@ -777,11 +740,9 @@ mod tests {
                 )][..],
             ),
         ]);
-        let m = Model::build(&w);
-        assert_eq!(m.use_edges.len(), 1);
-        assert_eq!(m.use_edges[0].from, "geotopo-measure");
-        assert_eq!(m.use_edges[0].to, "geotopo-geo");
-        assert_eq!(m.use_edges[0].line, 1);
+        let edges = collect_use_edges(&w);
+        assert_eq!(edges.len(), 1);
+        assert_eq!(edges["geotopo-measure"], HashSet::from(["geotopo-geo"]));
     }
 
     #[test]

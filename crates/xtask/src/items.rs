@@ -8,7 +8,7 @@
 //! fails on valid Rust; at worst it under-reports items, which every
 //! rule treats as "no finding" rather than an error.
 
-use crate::lexer::{adjacent, lex, Token, TokenKind};
+use crate::lexer::{adjacent, closing, lex, Token, TokenKind};
 
 /// What kind of item a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,7 +413,7 @@ impl<'a> Parser<'a> {
             return None;
         }
         let open = self.pos;
-        let close = self.matching_brace(open)?;
+        let close = closing(self.toks, open)?;
         self.pos = open + 1;
         let children = self.items(close);
         let end_line = self.toks[close].line;
@@ -454,30 +454,18 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 return None;
             }
-            match t.kind {
-                TokenKind::Punct(b'<') => angle += 1,
-                TokenKind::Punct(b'>') => {
-                    // `->` in a fn-pointer type: the `>` is part of the
-                    // arrow, not an angle close.
-                    let prev = self.toks.get(self.pos.wrapping_sub(1));
-                    let arrow = prev.is_some_and(|p| p.is_punct(b'-') && adjacent(p, t));
-                    if !arrow {
-                        angle -= 1;
-                    }
+            angle += self.angle_step();
+            if t.kind == TokenKind::Ident && angle <= 0 {
+                let s = self.text(t);
+                if s == "for" {
+                    saw_for = true;
+                } else if s == "where" {
+                    // Type name came before the where clause.
+                } else if saw_for {
+                    type_side.push(s.to_string());
+                } else {
+                    trait_side.push(s.to_string());
                 }
-                TokenKind::Ident if angle <= 0 => {
-                    let s = self.text(t);
-                    if s == "for" {
-                        saw_for = true;
-                    } else if s == "where" {
-                        // Type name came before the where clause.
-                    } else if saw_for {
-                        type_side.push(s.to_string());
-                    } else {
-                        trait_side.push(s.to_string());
-                    }
-                }
-                _ => {}
             }
             self.pos += 1;
         }
@@ -485,7 +473,7 @@ impl<'a> Parser<'a> {
         if !self.toks.get(open).is_some_and(|t| t.is_punct(b'{')) {
             return None;
         }
-        let close = self.matching_brace(open)?;
+        let close = closing(self.toks, open)?;
         // `impl Type` → type is the trait_side's last ident, no trait.
         let strip = |v: &[String]| -> Option<String> {
             v.iter()
@@ -542,23 +530,14 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 return None;
             }
-            match t.kind {
-                TokenKind::Punct(b'<') => angle += 1,
-                TokenKind::Punct(b'>') => {
-                    let prev = self.toks.get(self.pos.wrapping_sub(1));
-                    if !prev.is_some_and(|p| p.is_punct(b'-') && adjacent(p, t)) {
-                        angle -= 1;
-                    }
-                }
-                _ => {}
-            }
+            angle += self.angle_step();
             self.pos += 1;
         }
         let open = self.pos;
         if !self.toks.get(open).is_some_and(|t| t.is_punct(b'{')) {
             return None;
         }
-        let close = self.matching_brace(open)?;
+        let close = closing(self.toks, open)?;
         self.pos = open + 1;
         let mut children = self.items(close);
         for c in &mut children {
@@ -653,7 +632,7 @@ impl<'a> Parser<'a> {
             match t.kind {
                 TokenKind::Punct(b'{') if angle <= 0 => {
                     let open = self.pos;
-                    let close = self.matching_brace(open)?;
+                    let close = closing(self.toks, open)?;
                     self.pos = close + 1;
                     // `struct X { .. }` has no trailing `;`, but
                     // `const X: T = S { .. };` does — consume it.
@@ -667,20 +646,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Some((None, end_line));
                 }
-                TokenKind::Punct(b'<') => {
-                    angle += 1;
-                    self.pos += 1;
-                }
-                TokenKind::Punct(b'>') => {
-                    let prev = self.toks.get(self.pos.wrapping_sub(1));
-                    if !prev.is_some_and(|p| p.is_punct(b'-') && adjacent(p, t)) {
-                        angle -= 1;
-                    }
-                    self.pos += 1;
-                }
                 TokenKind::Punct(b'(') => self.skip_balanced(b'(', b')', usize::MAX),
                 TokenKind::Punct(b'[') => self.skip_balanced(b'[', b']', usize::MAX),
-                _ => self.pos += 1,
+                _ => {
+                    angle += self.angle_step();
+                    self.pos += 1;
+                }
             }
         }
         // EOF without body or `;` (truncated input): treat as bodiless.
@@ -690,39 +661,34 @@ impl<'a> Parser<'a> {
     /// Skips a `<...>` generics list (angle counting, `->`-aware).
     fn skip_generics(&mut self) {
         let mut angle = 0i32;
-        while let Some(t) = self.peek() {
-            match t.kind {
-                TokenKind::Punct(b'<') => angle += 1,
-                TokenKind::Punct(b'>') => {
-                    let prev = self.toks.get(self.pos.wrapping_sub(1));
-                    if !prev.is_some_and(|p| p.is_punct(b'-') && adjacent(p, t)) {
-                        angle -= 1;
-                        if angle == 0 {
-                            self.pos += 1;
-                            return;
-                        }
-                    }
-                }
-                _ => {}
-            }
+        while self.peek().is_some() {
+            let step = self.angle_step();
+            angle += step;
             self.pos += 1;
+            if step < 0 && angle == 0 {
+                return;
+            }
         }
     }
 
-    /// Token index of the `}` matching the `{` at token index `open`.
-    fn matching_brace(&self, open: usize) -> Option<usize> {
-        let mut depth = 0usize;
-        for (i, t) in self.toks.iter().enumerate().skip(open) {
-            if t.is_punct(b'{') {
-                depth += 1;
-            } else if t.is_punct(b'}') {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
+    /// The angle-depth step of the current token: `+1` at `<`, `-1` at
+    /// a `>` that does not end a `->` arrow (a fn-pointer type's arrow
+    /// closes no angle), `0` otherwise.
+    fn angle_step(&self) -> i32 {
+        let Some(t) = self.peek() else {
+            return 0;
+        };
+        let arrow = || {
+            self.pos > 0 && {
+                let prev = &self.toks[self.pos - 1];
+                prev.is_punct(b'-') && adjacent(prev, t)
             }
+        };
+        match t.kind {
+            TokenKind::Punct(b'<') => 1,
+            TokenKind::Punct(b'>') if !arrow() => -1,
+            _ => 0,
         }
-        None
     }
 }
 

@@ -1,12 +1,11 @@
 //! A dependency-free Rust lexer producing spanned tokens.
 //!
-//! This is the token layer under the analyzer's item trees and graphs
-//! ([`crate::items`], [`crate::graph`]). It shares its string/comment
-//! state machine with [`crate::source::mask`] — the proptest suite in
-//! `tests/lexer_proptest.rs` asserts the two agree byte-for-byte about
-//! what is code — but where `mask` blanks non-code, the lexer emits
-//! tokens with byte spans and line numbers so later passes can reason
-//! about structure, not lines.
+//! This is the one tokenizer of the crate: the lint rules match token
+//! sequences ([`crate::rules`]), and the analyzer's item trees and
+//! graphs ([`crate::items`], [`crate::graph`]) are built on the same
+//! stream. Comments and whitespace produce no tokens and a string or
+//! char literal is one token, so a pattern mentioned in a comment or a
+//! string can never match code.
 //!
 //! The token alphabet is deliberately small: identifiers (keywords are
 //! identifiers — the item parser decides), lifetimes, numbers, string
@@ -61,6 +60,29 @@ impl Token {
 /// between) — how `::`, `->` and friends are recognised.
 pub fn adjacent(a: &Token, b: &Token) -> bool {
     a.end == b.start
+}
+
+/// Index of the token that closes the `(`, `[` or `{` at `toks[open]`,
+/// or None when it is not an opener or stays unclosed.
+pub fn closing(toks: &[Token], open: usize) -> Option<usize> {
+    let (o, c) = match toks.get(open)?.kind {
+        TokenKind::Punct(b'(') => (b'(', b')'),
+        TokenKind::Punct(b'[') => (b'[', b']'),
+        TokenKind::Punct(b'{') => (b'{', b'}'),
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
 }
 
 /// Lexes Rust source into tokens, skipping whitespace and comments.
@@ -276,7 +298,7 @@ fn plain_string_len(bytes: &[u8]) -> (usize, usize) {
 }
 
 /// Length of a raw-string opener (`r"`, `r#"`, `br##"`, ...) at the
-/// start of `bytes`, or None. Mirrors `source::raw_string_open`.
+/// start of `bytes`, or None.
 fn raw_string_open(bytes: &[u8]) -> Option<usize> {
     let mut i = 0;
     if bytes.first() == Some(&b'b') {
@@ -318,8 +340,7 @@ fn raw_string_len(bytes: &[u8], open: usize, hashes: usize) -> (usize, usize) {
 }
 
 /// Length of a char/byte-char literal at the start of `bytes` (starting
-/// at `'`), or None if this is a lifetime. Mirrors
-/// `source::char_literal_len`.
+/// at `'`), or None if this is a lifetime.
 fn char_literal_len(bytes: &[u8]) -> Option<usize> {
     match bytes.get(1)? {
         b'\\' => {

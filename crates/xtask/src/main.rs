@@ -6,9 +6,9 @@
 //! cargo xtask bench [--bench NAME] [--check] [--update] [--scale NAME] [--threads LIST] [--json PATH]
 //! ```
 //!
-//! `check` runs the line-level lint catalog; `analyze` runs the
+//! `check` runs the token-level lint catalog; `analyze` runs the
 //! semantic analyzer (call-graph panic reachability, hot-path
-//! allocation, cross-crate hygiene); `check --all` runs both over a
+//! allocation, dead workspace-pub); `check --all` runs both over a
 //! single workspace parse, interleaving the findings in one sorted
 //! stream.
 //!
@@ -25,8 +25,8 @@ use xtask::workspace::WorkspaceSrc;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("check") => check(&args[1..]),
-        Some("analyze") => analyze(&args[1..]),
+        Some("check") => check(&args[1..]).unwrap_or_else(|code| code),
+        Some("analyze") => analyze(&args[1..]).unwrap_or_else(|code| code),
         Some("bench") => bench(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
@@ -181,148 +181,131 @@ fn bench(args: &[String]) -> ExitCode {
     }
 }
 
-fn check(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut list = false;
-    let mut all = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --root needs a path");
-                    return ExitCode::from(2);
+/// The options `check` and `analyze` share (`--root`, `--rule`,
+/// `--list`), plus the one flag each command adds: `--all` for `check`,
+/// `--explain` for `analyze`.
+#[derive(Default)]
+struct Opts {
+    root: Option<PathBuf>,
+    only: Vec<String>,
+    list: bool,
+    all: bool,
+    explain: Option<String>,
+}
+
+impl Opts {
+    /// Parses `args`, accepting `extra` as the command's own flag. Any
+    /// other flag is a usage error (exit 2).
+    fn parse(args: &[String], extra: &str) -> Result<Self, ExitCode> {
+        let mut opts = Opts::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut value = |what: &str| {
+                it.next().cloned().ok_or_else(|| {
+                    eprintln!("error: {arg} needs {what}");
+                    ExitCode::from(2)
+                })
+            };
+            match arg.as_str() {
+                "--root" => opts.root = Some(PathBuf::from(value("a path")?)),
+                "--rule" => opts.only.push(value("a rule ID")?),
+                "--list" => opts.list = true,
+                "--all" if extra == "--all" => opts.all = true,
+                "--explain" if extra == "--explain" => opts.explain = Some(value("a rule ID")?),
+                other => {
+                    eprintln!("error: unknown option `{other}`");
+                    return Err(ExitCode::from(2));
                 }
-            },
-            "--rule" => match it.next() {
-                Some(id) => only.push(id.clone()),
-                None => {
-                    eprintln!("error: --rule needs a rule ID");
-                    return ExitCode::from(2);
-                }
-            },
-            "--list" => list = true,
-            "--all" => all = true,
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
             }
         }
+        Ok(opts)
     }
 
+    /// Keeps the `--rule` selection of `rules`; an unknown ID is a usage
+    /// error.
+    fn select<R: ?Sized>(
+        &self,
+        rules: &mut Vec<Box<R>>,
+        id: impl Fn(&R) -> &str,
+    ) -> Result<(), ExitCode> {
+        if let Some(bad) = self
+            .only
+            .iter()
+            .find(|o| !rules.iter().any(|r| id(r) == *o))
+        {
+            eprintln!("error: unknown rule `{bad}` (see --list)");
+            return Err(ExitCode::from(2));
+        }
+        if !self.only.is_empty() {
+            rules.retain(|r| self.only.iter().any(|o| id(r) == o));
+        }
+        Ok(())
+    }
+
+    /// The workspace under `--root`, or the default root.
+    fn workspace(&self) -> Result<WorkspaceSrc, ExitCode> {
+        load_workspace(&self.root.clone().unwrap_or_else(default_root))
+    }
+}
+
+/// `cargo xtask check`; `Err` carries a usage-error exit code.
+fn check(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = Opts::parse(args, "--all")?;
     let mut rules = all_rules();
-    let analyzers = if all { all_analyzers() } else { Vec::new() };
-    if list {
+    let analyzers = if opts.all {
+        all_analyzers()
+    } else {
+        Vec::new()
+    };
+    if opts.list {
         for r in &rules {
             println!("{}  {}", r.id(), r.describe());
         }
         for r in &analyzers {
             println!("{}   {}", r.id(), r.describe());
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if !only.is_empty() {
-        for id in &only {
-            if !rules.iter().any(|r| r.id() == id) {
-                eprintln!("error: unknown rule `{id}` (see --list)");
-                return ExitCode::from(2);
-            }
-        }
-        rules.retain(|r| only.iter().any(|id| id == r.id()));
-    }
-
-    let root = root.unwrap_or_else(default_root);
-    let ws = match load_workspace(&root) {
-        Ok(ws) => ws,
-        Err(code) => return code,
-    };
-
-    // One workspace parse serves both catalogs: `SourceFile` carries the
-    // masked view for the lint rules and the token/item trees for the
-    // analyzer, so `--all` costs one extra model build, not a re-read.
+    opts.select(&mut rules, |r| r.id())?;
+    let ws = opts.workspace()?;
+    // One workspace parse serves both catalogs: `SourceFile` carries
+    // the tokens and item tree both the lint rules and the analyzer
+    // read, so `--all` costs one extra model build, not a re-read.
     let mut findings = run(&rules, &ws);
     if !analyzers.is_empty() {
         findings.extend(xtask::analyze::run(&analyzers, &ws));
         findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     }
-    report("check", &ws, rules.len() + analyzers.len(), &findings)
+    Ok(report(
+        "check",
+        &ws,
+        rules.len() + analyzers.len(),
+        &findings,
+    ))
 }
 
-fn analyze(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut only: Vec<String> = Vec::new();
-    let mut list = false;
-    let mut explain: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --root needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rule" => match it.next() {
-                Some(id) => only.push(id.clone()),
-                None => {
-                    eprintln!("error: --rule needs a rule ID");
-                    return ExitCode::from(2);
-                }
-            },
-            "--list" => list = true,
-            "--explain" => match it.next() {
-                Some(id) => explain = Some(id.clone()),
-                None => {
-                    eprintln!("error: --explain needs a rule ID");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
+/// `cargo xtask analyze`; `Err` carries a usage-error exit code.
+fn analyze(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = Opts::parse(args, "--explain")?;
     let mut analyzers: Vec<Box<dyn AnalyzeRule>> = all_analyzers();
-    if let Some(id) = explain {
-        return match analyzers.iter().find(|r| r.id() == id) {
-            Some(r) => {
-                println!("{}", r.explain());
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("error: unknown rule `{id}` (see --list)");
-                ExitCode::from(2)
-            }
+    if let Some(id) = &opts.explain {
+        let Some(r) = analyzers.iter().find(|r| r.id() == id) else {
+            eprintln!("error: unknown rule `{id}` (see --list)");
+            return Err(ExitCode::from(2));
         };
+        println!("{}", r.explain());
+        return Ok(ExitCode::SUCCESS);
     }
-    if list {
+    if opts.list {
         for r in &analyzers {
             println!("{}  {}", r.id(), r.describe());
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if !only.is_empty() {
-        for id in &only {
-            if !analyzers.iter().any(|r| r.id() == id) {
-                eprintln!("error: unknown rule `{id}` (see --list)");
-                return ExitCode::from(2);
-            }
-        }
-        analyzers.retain(|r| only.iter().any(|id| id == r.id()));
-    }
-
-    let root = root.unwrap_or_else(default_root);
-    let ws = match load_workspace(&root) {
-        Ok(ws) => ws,
-        Err(code) => return code,
-    };
+    opts.select(&mut analyzers, |r| r.id())?;
+    let ws = opts.workspace()?;
     let findings = xtask::analyze::run(&analyzers, &ws);
-    report("analyze", &ws, analyzers.len(), &findings)
+    Ok(report("analyze", &ws, analyzers.len(), &findings))
 }
 
 /// Loads the workspace or reports the usage/IO error (exit 2).

@@ -6,12 +6,15 @@
 //! through an epsilon helper or an explicit total order. The rule flags
 //! `==`/`!=` where an operand is visibly a float: a float literal
 //! (`1.0`), an `f64::`/`f32::` associated constant, or a `as f64` cast.
+//! An operand is the run of tokens on the operator's line up to the
+//! nearest `;`, `{`, `,`, `&`, `|` or the enclosing bracket.
 //!
 //! Deliberate exact comparisons (e.g. checking a value survived a
 //! round-trip unchanged, or sentinel equality) carry
 //! `// lint: allow(float_eq): <why>`.
 
-use super::{Finding, Rule};
+use super::{scan, Finding, Rule};
+use crate::lexer::{adjacent, Token, TokenKind};
 use crate::workspace::WorkspaceSrc;
 
 /// See module docs.
@@ -30,127 +33,98 @@ impl Rule for FloatEq {
     }
 
     fn check(&self, ws: &WorkspaceSrc) -> Vec<Finding> {
-        let mut out = Vec::new();
-        for krate in &ws.crates {
-            if !SCOPED_CRATES.contains(&krate.name.as_str()) {
-                continue;
-            }
-            for file in &krate.files {
-                for (line, text) in file.code_lines() {
-                    if has_float_eq(text) && !file.is_allowed(line, "float_eq") {
-                        out.push(Finding {
-                            file: file.path.clone(),
-                            line,
-                            rule: self.id(),
-                            message: "bare float equality; compare with an epsilon or justify \
-                                      with `// lint: allow(float_eq): <why>`"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
-        }
-        out
+        scan(
+            ws,
+            self.id(),
+            Some("float_eq"),
+            |krate, _| SCOPED_CRATES.contains(&krate.name.as_str()),
+            |file, i| {
+                float_eq_at(&file.raw, &file.tree.tokens, i).then(|| {
+                    "bare float equality; compare with an epsilon or justify with \
+                     `// lint: allow(float_eq): <why>`"
+                        .to_string()
+                })
+            },
+        )
     }
 }
 
-/// Whether a masked code line compares a visibly-float operand with
-/// `==`/`!=`.
-fn has_float_eq(line: &str) -> bool {
-    let bytes = line.as_bytes();
-    for i in 0..bytes.len().saturating_sub(1) {
-        let op = &bytes[i..i + 2];
-        if op != b"==" && op != b"!=" {
-            continue;
-        }
-        // Exclude `<=`, `>=`, `===`-like runs and pattern `=>`.
-        if i > 0 && matches!(bytes[i - 1], b'<' | b'>' | b'=' | b'!') {
-            continue;
-        }
-        if bytes.get(i + 2) == Some(&b'=') {
-            continue;
-        }
-        let left = &line[..i];
-        let right = &line[i + 2..];
-        if operand_is_float(left, true) || operand_is_float(right, false) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Whether the operand text adjacent to the comparison looks like a
-/// float: a float literal, an `fXX::` constant, or an `as fXX` cast.
-/// `before` selects which side of the operator `text` sits on.
-fn operand_is_float(text: &str, before: bool) -> bool {
-    let operand = if before {
-        // Take the trailing expression fragment.
-        let stop = text
-            .rfind([';', '{', '(', ',', '&', '|'])
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        &text[stop..]
-    } else {
-        let stop = text
-            .find([';', '{', ')', ',', '&', '|'])
-            .unwrap_or(text.len());
-        &text[..stop]
-    };
-    if operand.contains("f64::")
-        || operand.contains("f32::")
-        || operand.contains("as f64")
-        || operand.contains("as f32")
+/// Whether `toks[i]` starts an `==`/`!=` with a visibly-float operand.
+fn float_eq_at(src: &str, toks: &[Token], i: usize) -> bool {
+    let glued = |a: usize, b: usize| adjacent(&toks[a], &toks[b]);
+    let punct_at = |j: usize, set: &[u8]| toks.get(j).is_some_and(|t| punct_in(t, set));
+    let is_op = punct_at(i, b"=!") && punct_at(i + 1, b"=") && glued(i, i + 1);
+    // Not part of `<==`-like or `===`-like runs.
+    if !is_op
+        || (i > 0 && punct_at(i - 1, b"<>=!") && glued(i - 1, i))
+        || (punct_at(i + 2, b"=") && glued(i + 1, i + 2))
     {
-        return true;
+        return false;
     }
-    has_float_literal(operand)
+    let line = toks[i].line;
+    let left = toks[..i]
+        .iter()
+        .rev()
+        .take_while(|t| t.line == line && !punct_in(t, b";{(,&|"))
+        .count();
+    let right = toks[i + 2..]
+        .iter()
+        .take_while(|t| t.line == line && !punct_in(t, b";{),&|"))
+        .count();
+    is_float(src, &toks[i - left..i]) || is_float(src, &toks[i + 2..i + 2 + right])
 }
 
-/// Whether `s` contains a float literal (`1.0`, `2.`, `1e-3`, `3f64`).
-fn has_float_literal(s: &str) -> bool {
-    let b = s.as_bytes();
-    for i in 0..b.len() {
-        if !b[i].is_ascii_digit() {
-            continue;
-        }
-        // Start of a number? (previous char must not be ident-ish)
-        if i > 0 && (b[i - 1].is_ascii_alphanumeric() || b[i - 1] == b'_' || b[i - 1] == b'.') {
-            continue;
-        }
-        let mut j = i;
-        while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'_') {
-            j += 1;
-        }
-        // `1.` or `1.5` (but not `1..` range or method call `1.max(..)`)
-        if j < b.len() && b[j] == b'.' {
-            let next = b.get(j + 1);
-            if next.is_none_or(|&c| c.is_ascii_digit()) {
+fn punct_in(t: &Token, set: &[u8]) -> bool {
+    set.iter().any(|&b| t.is_punct(b))
+}
+
+/// Whether an operand's tokens contain a float literal (`1.0`, `2.`,
+/// `1e-3`, `3f64`), an `f64::`/`f32::` path or an `as f64`/`as f32`.
+fn is_float(src: &str, op: &[Token]) -> bool {
+    let text = |k: usize| op.get(k).map_or("", |t| t.text(src));
+    let glued = |k: usize| k + 1 < op.len() && adjacent(&op[k], &op[k + 1]);
+    (0..op.len()).any(|k| match op[k].kind {
+        TokenKind::Ident => match text(k) {
+            "f64" | "f32" => text(k + 1) == ":" && glued(k),
+            "as" => matches!(text(k + 1), "f64" | "f32"),
+            _ => false,
+        },
+        // A tuple field (`p.0`) is not a literal.
+        TokenKind::Number if !(k > 0 && text(k - 1) == "." && glued(k - 1)) => {
+            let s = text(k);
+            let rest = s.trim_start_matches(|c: char| c.is_ascii_digit() || c == '_');
+            if rest.starts_with("f64") || rest.starts_with("f32") {
                 return true;
             }
-            continue;
-        }
-        // `1e-3` / `2E5` exponent form.
-        if j < b.len() && (b[j] == b'e' || b[j] == b'E') {
-            let mut k = j + 1;
-            if matches!(b.get(k), Some(&b'+') | Some(&b'-')) {
-                k += 1;
+            if let Some(exp) = rest.strip_prefix(['e', 'E']) {
+                // `1e5`, or `1e-3` lexed as `1e`, `-`, `3`.
+                return exp.starts_with(|c: char| c.is_ascii_digit())
+                    || (exp.is_empty()
+                        && matches!(text(k + 1), "-" | "+")
+                        && glued(k)
+                        && op.get(k + 2).is_some_and(|t| t.kind == TokenKind::Number)
+                        && glued(k + 1));
             }
-            if b.get(k).is_some_and(|c| c.is_ascii_digit()) {
-                return true;
-            }
+            // `1.5` / `2.` — but not `1..` (range) or `1.max(..)`.
+            rest.is_empty()
+                && text(k + 1) == "."
+                && glued(k)
+                && (k + 2 == op.len() || (op[k + 2].kind == TokenKind::Number && glued(k + 1)))
         }
-        // `3f64` suffix form.
-        if s[j..].starts_with("f64") || s[j..].starts_with("f32") {
-            return true;
-        }
-    }
-    false
+        _ => false,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
     use crate::rules::ws_of;
+
+    fn has_float_eq(src: &str) -> bool {
+        let toks = lex(src);
+        (0..toks.len()).any(|i| float_eq_at(src, &toks, i))
+    }
 
     #[test]
     fn flags_literal_comparison() {
@@ -168,7 +142,10 @@ mod tests {
         assert!(has_float_eq("if x != f64::INFINITY {"));
         assert!(has_float_eq("let b = y as f64 == z;"));
         assert!(has_float_eq("x == 1e-9"));
+        assert!(has_float_eq("x == 2E5"));
         assert!(has_float_eq("x == 3f64"));
+        assert!(has_float_eq("x == 2."));
+        assert!(has_float_eq("if 0.5 == x {"));
     }
 
     #[test]
@@ -179,6 +156,14 @@ mod tests {
         assert!(!has_float_eq("match x { 1 => 2.0, _ => 3.0 }"));
         assert!(!has_float_eq("for i in 0..1 {}"));
         assert!(!has_float_eq("let y = 1.0_f64.max(x);"));
+        assert!(!has_float_eq("if p.0 == q.1 {"));
+        assert!(!has_float_eq("if n == 0x1E5 {"));
+        assert!(!has_float_eq("if f(1.0) && n == 2 {"));
+    }
+
+    #[test]
+    fn operands_stop_at_the_line_end() {
+        assert!(!has_float_eq("let a = 1.0;\nif n\n    == m {"));
     }
 
     #[test]

@@ -1,25 +1,19 @@
 //! The lint rule catalog.
 //!
-//! Every rule is a standalone module implementing [`Rule`]. Rules see the
-//! whole [`WorkspaceSrc`] so crate-scoped and cross-crate rules use the
-//! same interface. IDs are stable (`GT-LINT-001`...) and documented in
-//! `DESIGN.md`; diagnostics print as `file:line: [ID] message` so editors
-//! and CI logs can jump to the site.
+//! Every rule implements [`Rule`]: the banned-token entries of
+//! [`banned::BANNED`], the float-equality rule and the manifest layering
+//! rule. Rules see the whole [`WorkspaceSrc`] so crate-scoped and
+//! cross-crate rules use the same interface. IDs are stable
+//! (`GT-LINT-001`...), never reused, and documented in `DESIGN.md`;
+//! diagnostics print as `file:line: [ID] message` so editors and CI logs
+//! can jump to the site.
 
-pub mod binary_heap;
+pub mod banned;
 pub mod float_eq;
-pub mod instant_timing;
 pub mod layering;
-pub mod missing_debug;
-pub mod nondeterminism;
-pub mod panic_markers;
-pub mod raw_fs;
-pub mod supervised_paths;
-pub mod thread_spawn;
-pub mod unwrap;
-pub mod wall_clock;
 
-use crate::workspace::WorkspaceSrc;
+use crate::source::SourceFile;
+use crate::workspace::{CrateSrc, WorkspaceSrc};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -61,20 +55,11 @@ pub trait Rule {
 
 /// All rules, in ID order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(nondeterminism::NonDeterminism),
-        Box::new(wall_clock::WallClock),
-        Box::new(unwrap::NoUnwrap),
-        Box::new(float_eq::FloatEq),
-        Box::new(missing_debug::MissingDebug),
-        Box::new(layering::Layering),
-        Box::new(panic_markers::PanicMarkers),
-        Box::new(thread_spawn::ThreadSpawn),
-        Box::new(supervised_paths::SupervisedPaths),
-        Box::new(instant_timing::InstantTiming),
-        Box::new(binary_heap::BinaryHeapUse),
-        Box::new(raw_fs::RawFs),
-    ]
+    let mut rules: Vec<Box<dyn Rule>> =
+        vec![Box::new(float_eq::FloatEq), Box::new(layering::Layering)];
+    rules.extend(banned::BANNED.iter().map(|b| Box::new(*b) as Box<dyn Rule>));
+    rules.sort_by_key(|r| r.id());
+    rules
 }
 
 /// Runs `rules` over `ws`, returning findings sorted by file/line/rule.
@@ -84,11 +69,47 @@ pub fn run(rules: &[Box<dyn Rule>], ws: &WorkspaceSrc) -> Vec<Finding> {
     findings
 }
 
+/// The token-level scan every source rule shares: for each file `covers`
+/// accepts, calls `hit` at every code token outside test regions and
+/// reports the message it returns, at most once per line, unless a
+/// `key` marker waives that line.
+fn scan(
+    ws: &WorkspaceSrc,
+    rule: &'static str,
+    key: Option<&str>,
+    covers: impl Fn(&CrateSrc, &SourceFile) -> bool,
+    hit: impl Fn(&SourceFile, usize) -> Option<String>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for krate in &ws.crates {
+        for file in krate.files.iter().filter(|f| covers(krate, f)) {
+            let mut last_line = 0;
+            for i in file.code_tokens() {
+                let line = file.tree.tokens[i].line;
+                if line == last_line {
+                    continue;
+                }
+                let Some(message) = hit(file, i) else {
+                    continue;
+                };
+                last_line = line;
+                if !key.is_some_and(|k| file.is_allowed(line, k)) {
+                    out.push(Finding {
+                        file: file.path.clone(),
+                        line,
+                        rule,
+                        message,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Test helper: wraps inline snippets into a single-crate workspace.
 #[cfg(test)]
 pub fn ws_of(crate_name: &str, files: &[(&str, &str)]) -> WorkspaceSrc {
-    use crate::source::SourceFile;
-    use crate::workspace::CrateSrc;
     WorkspaceSrc {
         crates: vec![CrateSrc {
             name: crate_name.to_string(),

@@ -1,9 +1,9 @@
-//! Source-file model for the lint pass.
+//! Source-file model for the lint pass and the analyzer.
 //!
-//! Rules never see raw text: they see a [`SourceFile`] whose `masked`
-//! view has comment and string-literal *contents* blanked out (newlines
-//! preserved, so byte offsets and line numbers still line up). That kills
-//! the classic grep-lint false positives — `.unwrap()` in a doc comment,
+//! Rules never see raw text: they see a [`SourceFile`] whose item tree
+//! carries the file's [`crate::lexer`] tokens. Comments produce no
+//! tokens and a string literal is one token, which kills the classic
+//! grep-lint false positives — `.unwrap()` in a doc comment,
 //! `"thread_rng"` inside a string — without needing a full parser.
 //!
 //! The model also records:
@@ -20,6 +20,7 @@
 //!   by the lint rules and the analyzer.
 
 use crate::items::{Item, ItemKind, ItemTree};
+use crate::lexer::{closing, Token};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -30,8 +31,6 @@ pub struct SourceFile {
     pub path: PathBuf,
     /// Raw file contents.
     pub raw: String,
-    /// Contents with comment/string interiors blanked (same length).
-    pub masked: String,
     /// Half-open line ranges (1-based) covered by test-only code.
     pub test_regions: Vec<(usize, usize)>,
     /// `(line, key)` pairs from `// lint: allow(key)` / `// analyze:
@@ -51,20 +50,18 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// Parses `raw` into the masked/line-indexed model.
+    /// Parses `raw` into the token/line-indexed model.
     pub fn parse(path: PathBuf, raw: String) -> Self {
-        let masked = mask(&raw);
-        let test_regions = find_test_regions(&masked);
-        let allows = find_allow_markers(&raw);
         let tree = ItemTree::parse(&raw);
+        let test_regions = find_test_regions(&raw, &tree.tokens);
+        let allows = find_allow_markers(&raw);
         let root_marks = find_marker_lines(&raw, "analyze: hot-path-root");
         let strict_marks = find_marker_lines(&raw, "analyze: strict-indexing");
         let (allow_regions, hot_path_roots, strict_indexing) =
-            attach_item_markers(&tree, &masked, &allows, &root_marks, &strict_marks);
+            attach_item_markers(&tree, &allows, &root_marks, &strict_marks);
         SourceFile {
             path,
             raw,
-            masked,
             test_regions,
             allows,
             allow_regions,
@@ -98,337 +95,72 @@ impl SourceFile {
                 .any(|(start, end, k)| k == key && line >= *start && line <= *end)
     }
 
-    /// Iterates `(line_number, masked_line)` over non-test code lines.
-    pub fn code_lines(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.masked
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l))
-            .filter(|&(n, _)| !self.is_test_line(n))
+    /// Indices into `tree.tokens` of the tokens outside test regions.
+    pub fn code_tokens(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.tree.tokens.len()).filter(|&i| !self.is_test_line(self.tree.tokens[i].line))
     }
 }
 
-/// Lexer state for [`mask`].
-enum State {
-    Code,
-    LineComment,
-    BlockComment(u32),
-    Str,
-    RawStr(u32),
-}
-
-/// Blanks comment and string-literal interiors, preserving length and
-/// newlines. String delimiters themselves are kept so `""` still reads as
-/// an (empty) string expression in the masked view.
-pub fn mask(src: &str) -> String {
-    let bytes = src.as_bytes();
-    let mut out = vec![b' '; bytes.len()];
-    let mut state = State::Code;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match state {
-            State::Code => {
-                match b {
-                    b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                        state = State::LineComment;
-                        i += 2;
-                        continue;
-                    }
-                    b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                        state = State::BlockComment(1);
-                        i += 2;
-                        continue;
-                    }
-                    b'"' => {
-                        out[i] = b'"';
-                        state = State::Str;
-                        i += 1;
-                        continue;
-                    }
-                    b'r' | b'b' => {
-                        // Raw-string openers: r", r#", br", b" ...
-                        if let Some(len) = raw_string_open(&bytes[i..]) {
-                            let hashes = (len - 2) as u32; // r + hashes + "
-                            for (off, slot) in out[i..i + len].iter_mut().enumerate() {
-                                *slot = bytes[i + off];
-                            }
-                            state = State::RawStr(hashes);
-                            i += len;
-                            continue;
-                        }
-                        if b == b'b' && bytes.get(i + 1) == Some(&b'"') {
-                            out[i] = b'b';
-                            out[i + 1] = b'"';
-                            state = State::Str;
-                            i += 2;
-                            continue;
-                        }
-                        out[i] = b;
-                        i += 1;
-                        continue;
-                    }
-                    b'\'' => {
-                        // Char literal vs lifetime.
-                        if let Some(len) = char_literal_len(&bytes[i..]) {
-                            out[i] = b'\'';
-                            out[i + len - 1] = b'\'';
-                            i += len;
-                        } else {
-                            out[i] = b'\'';
-                            i += 1;
-                        }
-                        continue;
-                    }
-                    _ => {
-                        out[i] = b;
-                        i += 1;
-                        continue;
-                    }
-                }
-            }
-            State::LineComment => {
-                if b == b'\n' {
-                    out[i] = b'\n';
-                    state = State::Code;
-                }
-                i += 1;
-            }
-            State::BlockComment(depth) => {
-                if b == b'\n' {
-                    out[i] = b'\n';
-                }
-                if b == b'*' && bytes.get(i + 1) == Some(&b'/') {
-                    state = if depth == 1 {
-                        State::Code
-                    } else {
-                        State::BlockComment(depth - 1)
-                    };
-                    i += 2;
-                } else if b == b'/' && bytes.get(i + 1) == Some(&b'*') {
-                    state = State::BlockComment(depth + 1);
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            State::Str => {
-                if b == b'\n' {
-                    out[i] = b'\n';
-                    i += 1;
-                } else if b == b'\\' {
-                    // Keep an escaped newline: masking must preserve line
-                    // structure or every later diagnostic drifts a line.
-                    if bytes.get(i + 1) == Some(&b'\n') {
-                        out[i + 1] = b'\n';
-                    }
-                    i += 2;
-                } else if b == b'"' {
-                    out[i] = b'"';
-                    state = State::Code;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            State::RawStr(hashes) => {
-                if b == b'\n' {
-                    out[i] = b'\n';
-                    i += 1;
-                } else if b == b'"' && closes_raw(&bytes[i..], hashes) {
-                    let len = 1 + hashes as usize;
-                    for (off, slot) in out[i..i + len].iter_mut().enumerate() {
-                        *slot = bytes[i + off];
-                    }
-                    state = State::Code;
-                    i += len;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    // Masking is byte-level but only ever blanks bytes, so the result is
-    // valid UTF-8 whenever the input was (multi-byte chars are either
-    // copied whole or fully blanked).
-    String::from_utf8(out).unwrap_or_default()
-}
-
-/// Length of a raw-string opener (`r"`, `r#"`, `br##"`, ...) at the start
-/// of `bytes`, or None.
-fn raw_string_open(bytes: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    if bytes.first() == Some(&b'b') {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'r') {
-        return None;
-    }
-    i += 1;
-    let mut hashes = 0;
-    while bytes.get(i) == Some(&b'#') {
-        hashes += 1;
-        i += 1;
-    }
-    if bytes.get(i) == Some(&b'"') {
-        let _ = hashes;
-        Some(i + 1)
-    } else {
-        None
-    }
-}
-
-/// Whether the `"` at the start of `bytes` is followed by `hashes` `#`s.
-fn closes_raw(bytes: &[u8], hashes: u32) -> bool {
-    let h = hashes as usize;
-    bytes.len() > h && bytes[1..=h].iter().all(|&b| b == b'#')
-}
-
-/// Length of a char/byte literal at the start of `bytes` (starting at
-/// `'`), or None if this is a lifetime.
-fn char_literal_len(bytes: &[u8]) -> Option<usize> {
-    match bytes.get(1)? {
-        b'\\' => {
-            // Escape: scan to the closing quote.
-            let mut i = 2;
-            while i < bytes.len() {
-                match bytes[i] {
-                    b'\\' => i += 2,
-                    b'\'' => return Some(i + 1),
-                    b'\n' => return None,
-                    _ => i += 1,
-                }
-            }
-            None
-        }
-        b'\'' => None, // '' is not a literal
-        _ => {
-            // 'x' is a literal; 'abc or 'a (no close) is a lifetime.
-            // Multi-byte UTF-8 chars span several bytes before the quote.
-            let mut i = 2;
-            while i < bytes.len() && i <= 5 {
-                if bytes[i] == b'\'' {
-                    return Some(i + 1);
-                }
-                if bytes[i] & 0x80 == 0 {
-                    break;
-                }
-                i += 1;
-            }
-            None
-        }
-    }
-}
-
-/// Finds test-only line regions: `#[cfg(test)]`/`#[test]` items, spanning
-/// to the matching close brace.
-fn find_test_regions(masked: &str) -> Vec<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    // Line number (1-based) at each byte offset, built lazily via count.
-    let line_at = |pos: usize| 1 + masked[..pos].bytes().filter(|&b| b == b'\n').count();
+/// Finds test-only line regions: an item under a `#[test]` or
+/// `#[cfg(test)]`-style attribute, from the attribute to the item's
+/// closing brace.
+fn find_test_regions(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
+    let is_attr =
+        |j: usize| toks[j].is_punct(b'#') && toks.get(j + 1).is_some_and(|t| t.is_punct(b'['));
     let mut regions = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'#' || bytes.get(i + 1) != Some(&b'[') {
+    while i < toks.len() {
+        if !is_attr(i) {
             i += 1;
             continue;
         }
-        let Some(close) = find_bracket_close(bytes, i + 1) else {
+        let Some(close) = closing(toks, i + 1) else {
             break;
         };
-        let inner: String = masked[i + 2..close]
-            .chars()
-            .filter(|c| !c.is_whitespace())
-            .collect();
-        let is_test_attr = inner == "test"
-            || inner.ends_with("::test")
-            || (inner.starts_with("cfg(") && is_test_cfg(&inner));
-        if !is_test_attr {
+        if !is_test_attr(src, &toks[i + 2..close]) {
             i = close + 1;
             continue;
         }
-        // Skip any further attributes, then find the item's block.
+        // Skip any further attributes, then find the item's block; a `;`
+        // first means a bodiless item (`mod x;`).
         let mut j = close + 1;
-        loop {
-            while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-                j += 1;
-            }
-            if bytes.get(j) == Some(&b'#') && bytes.get(j + 1) == Some(&b'[') {
-                match find_bracket_close(bytes, j + 1) {
-                    Some(c) => j = c + 1,
-                    None => break,
-                }
-            } else {
-                break;
+        while j < toks.len() && is_attr(j) {
+            match closing(toks, j + 1) {
+                Some(c) => j = c + 1,
+                None => break,
             }
         }
-        // Scan to the item's opening brace; bail at `;` (e.g. `mod x;`).
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    open = Some(j);
-                    break;
-                }
-                b';' => break,
-                _ => j += 1,
-            }
-        }
-        if let Some(open) = open {
-            if let Some(end) = find_brace_close(bytes, open) {
-                regions.push((line_at(i), line_at(end) + 1));
+        let open = toks[j..]
+            .iter()
+            .position(|t| t.is_punct(b'{') || t.is_punct(b';'))
+            .map(|k| j + k)
+            .filter(|&k| toks[k].is_punct(b'{'));
+        match open.and_then(|o| closing(toks, o)) {
+            Some(end) => {
+                regions.push((toks[i].line, toks[end].line + 1));
                 i = end + 1;
-                continue;
             }
+            None => i = close + 1,
         }
-        i = close + 1;
     }
     regions
 }
 
-/// Whether a whitespace-stripped `cfg(...)` attribute enables code only
-/// under `test` (handles `cfg(test)`, `cfg(all(test, ...))`, ...).
-fn is_test_cfg(inner: &str) -> bool {
-    inner.contains("(test)")
-        || inner.contains("(test,")
-        || inner.contains(",test)")
-        || inner.contains(",test,")
-}
-
-/// Offset of the `]` matching the `[` at `open`.
-fn find_bracket_close(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
+/// Whether the tokens inside `#[...]` make the item test-only: `test`,
+/// a path ending in `::test`, or a `cfg(...)` naming `test` as one of
+/// its arguments (`cfg(test)`, `cfg(all(test, ...))`, ...).
+fn is_test_attr(src: &str, inner: &[Token]) -> bool {
+    let text = |k: usize| inner.get(k).map_or("", |t| t.text(src));
+    let n = inner.len();
+    if n > 0 && text(n - 1) == "test" && (n == 1 || text(n - 2) == ":") {
+        return true;
     }
-    None
-}
-
-/// Offset of the `}` matching the `{` at `open`.
-fn find_brace_close(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    text(0) == "cfg"
+        && (1..n).any(|k| {
+            text(k) == "test"
+                && matches!(text(k - 1), "(" | ",")
+                && matches!(text(k + 1), ")" | ",")
+        })
 }
 
 /// Collects `// lint: allow(key)` and `// analyze: allow(key)` markers
@@ -493,28 +225,27 @@ type ItemMarkers = (Vec<(usize, usize, String)>, Vec<usize>, Vec<usize>);
 ///
 /// A marker *attaches* to an item when it sits on the item's header line
 /// or on a line above it separated only by attributes, doc comments, or
-/// blank lines (comment interiors are blank in the masked view, so "only
-/// attributes or blanks" is a simple per-line test). Attached
-/// `allow(key)` markers on `fn`/`mod` headers widen to the item's whole
-/// span; attached `hot-path-root` markers register the fn as a GT-AN-002
-/// root.
+/// blank lines — lines where no token starts, or whose first token opens
+/// an attribute. Attached `allow(key)` markers on `fn`/`mod` headers
+/// widen to the item's whole span; attached `hot-path-root` markers
+/// register the fn as a GT-AN-002 root.
 fn attach_item_markers(
     tree: &ItemTree,
-    masked: &str,
     allows: &HashSet<(usize, String)>,
     root_marks: &HashSet<usize>,
     strict_marks: &HashSet<usize>,
 ) -> ItemMarkers {
-    let lines: Vec<&str> = masked.lines().collect();
-    // Lines eligible to carry an attached marker when walking up from a
-    // header: blank (comments mask to blanks) or attribute lines.
-    let passable = |line_no: usize| -> bool {
-        match lines.get(line_no - 1) {
-            Some(l) => {
-                let t = l.trim();
-                t.is_empty() || t.starts_with("#[") || t.starts_with("#![")
+    let toks = &tree.tokens;
+    let passable = |line_no: usize| {
+        let first = toks.partition_point(|t| t.line < line_no);
+        match toks.get(first) {
+            Some(t) if t.line == line_no => {
+                t.is_punct(b'#')
+                    && toks
+                        .get(first + 1)
+                        .is_some_and(|n| n.is_punct(b'[') || n.is_punct(b'!'))
             }
-            None => false,
+            _ => true,
         }
     };
     let allow_keys_at = |line_no: usize| -> Vec<&String> {
@@ -566,60 +297,6 @@ fn attach_item_markers(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn masks_line_and_block_comments() {
-        let m = mask("let x = 1; // unwrap()\n/* thread_rng */ let y;");
-        assert!(!m.contains("unwrap"));
-        assert!(!m.contains("thread_rng"));
-        assert!(m.contains("let x = 1;"));
-        assert!(m.contains("let y;"));
-    }
-
-    #[test]
-    fn masks_nested_block_comments() {
-        let m = mask("a /* outer /* inner */ still */ b");
-        assert!(m.contains('a') && m.contains('b'));
-        assert!(!m.contains("inner") && !m.contains("still"));
-    }
-
-    #[test]
-    fn masks_string_contents_keeps_delimiters() {
-        let m = mask(r#"call("has .unwrap() inside", x)"#);
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains(r#"call("#));
-        assert!(m.matches('"').count() == 2);
-    }
-
-    #[test]
-    fn masks_raw_strings() {
-        let m = mask(r##"let s = r#"SystemTime::now()"#; done()"##);
-        assert!(!m.contains("SystemTime"));
-        assert!(m.contains("done()"));
-    }
-
-    #[test]
-    fn escaped_quotes_do_not_end_strings() {
-        let m = mask(r#"f("a\"b.unwrap()"); g()"#);
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains("g()"));
-    }
-
-    #[test]
-    fn char_literals_masked_lifetimes_kept() {
-        let m = mask("fn f<'a>(x: &'a str) { let c = '\\n'; let q = '\"'; z() }");
-        assert!(m.contains("<'a>"));
-        assert!(m.contains("&'a str"));
-        assert!(m.contains("z()"));
-        // The '"' char literal must not open a string state.
-        assert!(!m.contains('\u{0}'));
-    }
-
-    #[test]
-    fn preserves_line_structure() {
-        let src = "a\n// c\nb\n\"s\ntill\"\nc\n";
-        assert_eq!(mask(src).lines().count(), src.lines().count());
-    }
 
     #[test]
     fn finds_cfg_test_module_region() {

@@ -150,32 +150,6 @@ pub fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Lists the `geotopo-*` (and root `geotopo`) dependency names declared
-/// in a manifest's `[dependencies]` section, with 1-based line numbers.
-/// Dev-dependencies are exempt from layering: tests may reach anywhere.
-pub fn geotopo_dependencies(manifest: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut in_deps = false;
-    for (i, line) in manifest.lines().enumerate() {
-        let t = line.trim();
-        if t.starts_with('[') {
-            // Exact `[dependencies]` only: target-specific tables like
-            // `[target.'cfg(..)'.dependencies]` don't exist in this
-            // workspace, and `[dev-dependencies]` is exempt.
-            in_deps = t == "[dependencies]";
-            continue;
-        }
-        if !in_deps || t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let key = t.split(['=', '.']).next().unwrap_or("").trim();
-        if key == "geotopo" || key.starts_with("geotopo-") {
-            out.push((i + 1, key.to_string()));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,24 +159,5 @@ mod tests {
         let m = "[workspace]\nx = 1\n[package]\nversion = \"0.1\"\nname = \"geotopo-geo\"\n";
         assert_eq!(package_name(m).as_deref(), Some("geotopo-geo"));
         assert_eq!(package_name("[dependencies]\nname = \"no\"\n"), None);
-    }
-
-    #[test]
-    fn dependencies_found_with_lines() {
-        let m = "[package]\nname = \"x\"\n\n[dependencies]\ngeotopo-geo.workspace = true\nserde.workspace = true\ngeotopo-stats = { path = \"../stats\" }\n\n[dev-dependencies]\ngeotopo-core.workspace = true\n";
-        let deps = geotopo_dependencies(m);
-        assert_eq!(
-            deps,
-            vec![
-                (5, "geotopo-geo".to_string()),
-                (7, "geotopo-stats".to_string())
-            ]
-        );
-    }
-
-    #[test]
-    fn commented_dependencies_ignored() {
-        let m = "[dependencies]\n# geotopo-core.workspace = true\n";
-        assert!(geotopo_dependencies(m).is_empty());
     }
 }

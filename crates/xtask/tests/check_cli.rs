@@ -11,15 +11,14 @@ const ALL_RULES: &[&str] = &[
     "GT-LINT-002",
     "GT-LINT-003",
     "GT-LINT-004",
-    "GT-LINT-005",
     "GT-LINT-006",
-    "GT-LINT-007",
     "GT-LINT-008",
-    "GT-LINT-009",
-    "GT-LINT-010",
     "GT-LINT-011",
     "GT-LINT-012",
 ];
+
+/// Retired or merged IDs: never reported, never reused.
+const RETIRED: &[&str] = &["GT-LINT-005", "GT-LINT-007", "GT-LINT-009", "GT-LINT-010"];
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/violations")
@@ -47,9 +46,16 @@ fn seeded_fixture_trips_every_rule_with_file_line_diagnostics() {
             "missing {rule} in output:\n{stdout}"
         );
     }
+    for rule in RETIRED {
+        assert!(!stdout.contains(rule), "retired {rule} reported:\n{stdout}");
+    }
+    assert!(
+        stdout.ends_with("2 crates, 2 files, 8 rules — 11 finding(s)\n"),
+        "summary line wrong:\n{stdout}"
+    );
     // Diagnostics carry a real file:line location.
     assert!(
-        stdout.contains("crates/bad-geo/src/lib.rs:11: [GT-LINT-001]"),
+        stdout.contains("crates/bad-geo/src/lib.rs:7: [GT-LINT-001]"),
         "thread_rng site not located:\n{stdout}"
     );
     assert!(
@@ -57,7 +63,7 @@ fn seeded_fixture_trips_every_rule_with_file_line_diagnostics() {
         "layering edge not located at its manifest line:\n{stdout}"
     );
     assert!(
-        stdout.contains("crates/core/src/engine/faulty.rs:5: [GT-LINT-009]"),
+        stdout.contains("crates/core/src/engine/faulty.rs:5: [GT-LINT-003]"),
         "supervised-path unwrap not located:\n{stdout}"
     );
 }
@@ -85,12 +91,17 @@ fn unknown_rule_is_a_usage_error() {
 fn list_prints_catalog_and_exits_zero() {
     let (code, stdout) = run_check(&["--list"]);
     assert_eq!(code, 0);
-    for rule in ALL_RULES {
-        assert!(
-            stdout.contains(rule),
-            "{rule} missing from --list:\n{stdout}"
-        );
-    }
+    let listed: Vec<&str> = stdout.lines().filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(listed, ALL_RULES, "--list catalog:\n{stdout}");
+}
+
+#[test]
+fn flags_of_other_commands_are_usage_errors() {
+    // `check` takes `--all`, not `analyze`'s `--explain`; a missing
+    // option value is a usage error too.
+    assert_eq!(run_check(&["--explain", "GT-AN-001"]).0, 2);
+    assert_eq!(run_check(&["--rule"]).0, 2);
+    assert_eq!(run_check(&["--bogus"]).0, 2);
 }
 
 #[test]

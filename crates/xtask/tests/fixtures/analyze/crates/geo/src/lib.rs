@@ -1,5 +1,5 @@
-//! Seeded GT-AN-003 violations: an upward source import and pub items
-//! nobody references.
+//! Seeded GT-AN-003 violations: pub items nobody references. Layering is
+//! GT-LINT-006's, on manifests, so the upward import is not a finding.
 
 use geotopo_core::Engine;
 

@@ -3,10 +3,6 @@
 // exits non-zero and reports every rule ID with a file:line diagnostic.
 // This file is never compiled (it lives under tests/fixtures/).
 
-pub struct NoDebugHere {
-    pub x: u32,
-}
-
 pub fn entropy() -> u64 {
     let mut r = rand::thread_rng();
     r.random()
@@ -22,10 +18,6 @@ pub fn aborts(v: Option<u32>) -> u32 {
 
 pub fn exact(x: f64) -> bool {
     x == 0.5
-}
-
-pub fn unfinished() {
-    todo!("never")
 }
 
 pub fn sidecar_worker() {

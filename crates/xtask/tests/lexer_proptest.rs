@@ -1,16 +1,14 @@
-//! Property tests pinning the lexer to `source::mask`: the two share a
-//! string/comment state machine, and every analyzer pass assumes they
-//! agree about which bytes are code. Fragment soups splice idents,
-//! literals (terminated and not), comments, and punctuation in random
-//! orders; the properties below must hold for every splice.
+//! Property tests for the lexer, the one tokenizer every lint rule and
+//! analyzer pass reads. Fragment soups splice idents, literals
+//! (terminated and not), comments, and punctuation in random orders; the
+//! properties below must hold for every splice.
 //!
-//! This suite already earned its keep: it caught both `mask` and the
-//! lexer dropping the newline in a `"...\`-newline string continuation,
-//! which desynced every later line number.
+//! This suite already earned its keep: it caught the lexer dropping the
+//! newline in a `"...\`-newline string continuation, which desynced every
+//! later line number.
 
 use proptest::prelude::*;
-use xtask::lexer::{lex, TokenKind};
-use xtask::source::mask;
+use xtask::lexer::lex;
 
 /// Splice alphabet: each entry is a legal-or-degenerate piece of Rust
 /// surface syntax. Unterminated literals and bare sigils are included
@@ -75,71 +73,21 @@ fn splice(pairs: &[(usize, usize)]) -> String {
 
 proptest! {
     #[test]
-    fn spans_agree_with_mask(
+    fn spans_are_ordered_with_exact_lines(
         pairs in prop::collection::vec((0usize..FRAGMENTS.len(), 0usize..SEPS.len()), 0..80)
     ) {
         let src = splice(&pairs);
-        let toks = lex(&src);
-        let masked = mask(&src);
         let raw = src.as_bytes();
-        let mb = masked.as_bytes();
-
-        // Masking is a bytewise blanking: same length, every byte either
-        // kept or turned into a space, newlines preserved exactly.
-        prop_assert_eq!(mb.len(), raw.len());
-        for i in 0..raw.len() {
-            prop_assert!(
-                mb[i] == raw[i] || mb[i] == b' ',
-                "byte {} invented: raw {:?} masked {:?}", i, raw[i] as char, mb[i] as char
-            );
-            prop_assert!(
-                (raw[i] == b'\n') == (mb[i] == b'\n'),
-                "newline structure changed at byte {} in {:?}", i, src
-            );
-        }
-
         // Token spans: non-empty, ordered, disjoint, in bounds, on char
         // boundaries, with line numbers matching a recount from scratch.
         let mut prev_end = 0;
-        for t in &toks {
+        for t in &lex(&src) {
             prop_assert!(t.start < t.end && t.end <= raw.len(), "bad span in {:?}", src);
             prop_assert!(t.start >= prev_end, "overlapping tokens in {:?}", src);
             prev_end = t.end;
             prop_assert!(src.get(t.start..t.end).is_some(), "span splits a char in {:?}", src);
             let line = 1 + raw[..t.start].iter().filter(|&&b| b == b'\n').count();
             prop_assert_eq!(t.line, line, "line drift at {}..{} in {:?}", t.start, t.end, src);
-        }
-
-        // Agreement, kept direction: a non-literal token is code, so mask
-        // must have kept each of its bytes; literals keep their opener.
-        for t in &toks {
-            match t.kind {
-                TokenKind::Str | TokenKind::Char => {
-                    prop_assert_eq!(mb[t.start], raw[t.start]);
-                }
-                _ => prop_assert_eq!(
-                    &mb[t.start..t.end], &raw[t.start..t.end],
-                    "mask blanked code token {}..{} in {:?}", t.start, t.end, src
-                ),
-            }
-        }
-
-        // Agreement, blanked direction: every byte mask says is code
-        // (non-whitespace survivor) lies inside some token span.
-        let mut covered = vec![false; raw.len()];
-        for t in &toks {
-            for c in &mut covered[t.start..t.end] {
-                *c = true;
-            }
-        }
-        for (i, &m) in mb.iter().enumerate() {
-            if !m.is_ascii_whitespace() {
-                prop_assert!(
-                    covered[i],
-                    "mask kept code byte {} ({:?}) but no token covers it in {:?}",
-                    i, m as char, src
-                );
-            }
         }
     }
 
@@ -154,7 +102,6 @@ proptest! {
             prev_end = t.end;
             prop_assert!(src.get(t.start..t.end).is_some(), "span splits a char in {:?}", src);
         }
-        prop_assert_eq!(mask(&src).len(), src.len());
     }
 
     #[test]
