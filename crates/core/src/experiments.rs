@@ -21,7 +21,6 @@ use std::sync::OnceLock;
 
 /// A finished experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): every experiment entry returns this record; callers read fields via inference
 pub struct ExperimentResult {
     /// Short id ("table1", "fig5", ...).
     pub id: String,
@@ -36,16 +35,19 @@ pub struct ExperimentResult {
 /// The intermediates several experiments read, each computed on first
 /// use and then shared: the distance preferences of every (mapper,
 /// collector) dataset over [`RegionBins::paper`] (Figures 4–6 and 12–14,
-/// both Tables V) and the AS measures of both Skitter datasets (Figures
-/// 7–10 and 15–17, robustness). One instance serves a whole [`run_all`];
-/// each public entry point builds its own, so it computes only what it
-/// reads.
+/// both Tables V), the AS measures of both Skitter datasets (Figures
+/// 7–10 and 15–17, robustness) and the study-region population grids
+/// (Figures 2 and 11, Table IV). One instance serves a whole
+/// [`run_all`]; each public entry point builds its own, so it computes
+/// only what it reads.
 struct Shared<'a> {
     out: &'a PipelineOutput,
     /// Indexed by mapper, then collector.
     preferences: [[OnceLock<Vec<DistancePreference>>; 2]; 2],
     /// Indexed by mapper.
     skitter_measures: [OnceLock<Vec<section6::AsMeasures>>; 2],
+    /// See [`study_population_grids`].
+    study_grids: OnceLock<Vec<(Region, PopulationGrid)>>,
 }
 
 impl<'a> Shared<'a> {
@@ -54,7 +56,14 @@ impl<'a> Shared<'a> {
             out,
             preferences: Default::default(),
             skitter_measures: Default::default(),
+            study_grids: OnceLock::new(),
         }
+    }
+
+    /// The three study-region population grids.
+    fn study_grids(&self) -> &[(Region, PopulationGrid)] {
+        self.study_grids
+            .get_or_init(|| study_population_grids(self.out))
     }
 
     /// The distance preference of one dataset, one per study region.
@@ -90,9 +99,9 @@ fn paper_jobs() -> [ExperimentJob; 25] {
         |s| table1(s.out),
         |_| table2(),
         |s| table3(s.out),
-        |s| table4(s.out),
+        table4_from,
         |s| fig1(s.out),
-        |s| fig2(s.out, IxMapper),
+        |s| fig2_from(s, IxMapper),
         |s| fig4_from(s, IxMapper),
         |s| fig5_from(s, IxMapper),
         |s| fig6_from(s, IxMapper),
@@ -104,7 +113,7 @@ fn paper_jobs() -> [ExperimentJob; 25] {
         |s| table6(s.out),
         |s| fractal_dimension(s.out),
         robustness_from,
-        |s| relabel(fig2(s.out, EdgeScape), "fig11", "Figure 11 (EdgeScape)"),
+        |s| relabel(fig2_from(s, EdgeScape), "fig11", "Figure 11 (EdgeScape)"),
         |s| relabel(fig4_from(s, EdgeScape), "fig12", "Figure 12 (EdgeScape)"),
         |s| relabel(fig5_from(s, EdgeScape), "fig13", "Figure 13 (EdgeScape)"),
         |s| relabel(fig6_from(s, EdgeScape), "fig14", "Figure 14 (EdgeScape)"),
@@ -257,11 +266,16 @@ pub fn table3(out: &PipelineOutput) -> ExperimentResult {
 
 /// Table IV: the homogeneity test.
 pub fn table4(out: &PipelineOutput) -> ExperimentResult {
+    table4_from(&Shared::new(out))
+}
+
+fn table4_from(s: &Shared<'_>) -> ExperimentResult {
     let world = WorldModel::paper();
-    let ds = &out
+    let ds = &s
+        .out
         .dataset(MapperKind::IxMapper, Collector::Skitter)
         .dataset;
-    let rows = section4::table4(ds, &world, us_north_share(out));
+    let rows = section4::table4(ds, &world, us_north_share(s));
     ExperimentResult {
         id: "table4".into(),
         title: "Table IV — Testing for homogeneity".into(),
@@ -271,26 +285,19 @@ pub fn table4(out: &PipelineOutput) -> ExperimentResult {
 }
 
 /// Measures the realized northern share of the US box population from the
-/// world that actually generated `out`. Table IV tests *placement*
+/// world that actually generated the output. Table IV tests *placement*
 /// homogeneity, so the population denominator must come from the realized
 /// synthetic grid, not the nominal census split — the city draw moves the
 /// north/south split around from seed to seed.
-fn us_north_share(out: &PipelineOutput) -> f64 {
-    let gt = &out.ground_truth;
-    gt.config
-        .regions
-        .iter()
-        .position(|rp| rp.economic.region.name == "USA")
-        .and_then(|i| gt.population_grid(i).ok())
-        .map(|grid| {
-            let total = grid.total();
-            if total > 0.0 {
-                grid.total_within(&RegionSet::northern_us()) / total
-            } else {
-                section4::NOMINAL_US_NORTH_SHARE
-            }
-        })
-        .unwrap_or(section4::NOMINAL_US_NORTH_SHARE)
+fn us_north_share(s: &Shared<'_>) -> f64 {
+    // The US grid comes first in `study_population_grids`.
+    let (_, grid) = &s.study_grids()[0];
+    let total = grid.total();
+    if total > 0.0 {
+        grid.total_within(&RegionSet::northern_us()) / total
+    } else {
+        section4::NOMINAL_US_NORTH_SHARE
+    }
 }
 
 /// Figure 1: ASCII density maps of the three study regions
@@ -312,9 +319,9 @@ pub fn fig1(out: &PipelineOutput) -> ExperimentResult {
     }
 }
 
-/// The three study-region population grids, regenerated from the ground
-/// truth (our "CIESIN data").
-pub(crate) fn study_population_grids(out: &PipelineOutput) -> Vec<(Region, PopulationGrid)> {
+/// The three study-region population grids — US, Europe, Japan, in that
+/// order — regenerated from the ground truth (our "CIESIN data").
+fn study_population_grids(out: &PipelineOutput) -> Vec<(Region, PopulationGrid)> {
     let gt = &out.ground_truth;
     let mut grids = Vec::new();
     for (name, region) in [
@@ -338,14 +345,17 @@ pub(crate) fn study_population_grids(out: &PipelineOutput) -> Vec<(Region, Popul
 /// The text report annotates each fitted slope with a 95% bootstrap
 /// confidence interval (pair resampling, deterministic seed).
 pub fn fig2(out: &PipelineOutput, mapper: MapperKind) -> ExperimentResult {
+    fig2_from(&Shared::new(out), mapper)
+}
+
+fn fig2_from(s: &Shared<'_>, mapper: MapperKind) -> ExperimentResult {
     use rand::SeedableRng;
-    let pops = study_population_grids(out);
     let mut panels = Vec::new();
     let mut ci_lines = String::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF162);
     for collector in [Collector::Mercator, Collector::Skitter] {
-        let ds = &out.dataset(mapper, collector).dataset;
-        let fig = section4::fig2(ds, &pops, &collector.to_string());
+        let ds = &s.out.dataset(mapper, collector).dataset;
+        let fig = section4::fig2(ds, s.study_grids(), &collector.to_string());
         for panel in &fig.panels {
             let (xs, ys): (Vec<f64>, Vec<f64>) = panel.series[0].points.iter().cloned().unzip();
             if let Some(ci) = geotopo_stats::bootstrap_slope_ci(&xs, &ys, 300, 0.95, &mut rng) {
@@ -692,8 +702,7 @@ pub fn fractal_dimension(out: &PipelineOutput) -> ExperimentResult {
 /// One row of the `faults` sweep: a full pipeline run at one severity,
 /// scored against its own (clean, identical) ground truth.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): rows of the public fault sweep; callers read fields via inference
-pub struct FaultSweepPoint {
+struct FaultSweepPoint {
     /// Fault severity in `[0, 1]` (0 = inert plan).
     pub severity: f64,
     /// Nodes in the mapped IxMapper/Skitter dataset.

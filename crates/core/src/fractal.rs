@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 
 /// Fractal dimension result per region.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by fractal_dimensions; callers read fields without naming the type
 pub struct FractalRow {
     /// Region name.
     pub region: String,

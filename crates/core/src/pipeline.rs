@@ -79,7 +79,6 @@ pub struct GeoNode {
 
 /// Per-dataset processing counters.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-// analyze: allow(dead-pub): the pub stats field of every dataset; read via field access, never named
 pub struct ProcessingStats {
     /// Nodes the mapper could not locate (discarded).
     pub unmapped_location: usize,

@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 /// One row of Table III.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by the section builders; callers read fields without naming the type
 pub struct Table3Row {
     /// Region name.
     pub region: String,
@@ -187,7 +186,6 @@ pub fn table4_text(rows: &[Table3Row]) -> TextTable {
 /// One Figure 2 panel: per-patch (log10 population, log10 node count)
 /// points and the fitted line.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by the section builders; callers read fields without naming the type
 pub struct Fig2Panel {
     /// Region name.
     pub region: String,

@@ -331,7 +331,6 @@ pub fn fig6_cumulated(dp: &DistancePreference) -> (Vec<(f64, f64)>, Option<Linea
 
 /// One row of Table V.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by the section builders; callers read fields without naming the type
 pub struct Table5Row {
     /// Region name.
     pub region: String,

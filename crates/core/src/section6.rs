@@ -271,7 +271,6 @@ pub fn large_as_dispersal(
 
 /// One row of Table VI.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by the section builders; callers read fields without naming the type
 pub struct Table6Row {
     /// Region name ("World" for the unrestricted row).
     pub region: String,

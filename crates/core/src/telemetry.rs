@@ -111,7 +111,6 @@ impl Histogram {
 /// nondeterministic quantity in a snapshot — [`MetricsSnapshot::masked`]
 /// zeroes them.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-// analyze: allow(dead-pub): span-timer values in the public metrics snapshot; read via field access
 pub struct SpanStats {
     /// Number of completed spans under this name.
     pub count: u64,

@@ -242,7 +242,6 @@ enum OpKind {
 /// Counters of what the injector actually did, for `--trace` summaries
 /// and test assertions.
 #[derive(Debug, Clone, Copy, Default)]
-// analyze: allow(dead-pub): injection tallies read field-by-field from tests and the --chaos trace
 pub struct ChaosStats {
     /// Total virtual ops observed (faulted or not).
     pub ops: u64,

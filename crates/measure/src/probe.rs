@@ -15,7 +15,6 @@ use rand::Rng;
 
 /// A traced hop: the responding router and the interface it reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// analyze: allow(dead-pub): hop record returned by every trace API; fields read without naming the type
 pub struct Hop {
     /// The router at this hop.
     pub router: RouterId,
@@ -89,12 +88,11 @@ impl<'a> TracerouteSim<'a> {
             return None;
         }
         hops.clear();
-        for w in path.windows(2) {
-            let (prev, cur) = (w[0], w[1]);
+        for &cur in path.iter().skip(1) {
             let interface = if self.responsive[cur.0 as usize] {
                 // The ICMP source address is the interface the probe
-                // arrived on: the one facing `prev`.
-                self.topology.interface_between(cur, prev)
+                // arrived on: the one the route tree recorded for `cur`.
+                oracle.incoming_interface(cur)
             } else {
                 None
             };
@@ -152,7 +150,7 @@ impl<'a> TracerouteSim<'a> {
                 match fate {
                     ProbeFate::Answered => {
                         if self.responsive[cur.0 as usize] {
-                            interface = self.topology.interface_between(cur, prev);
+                            interface = oracle.incoming_interface(cur);
                             if attempt > 0 {
                                 session.stats.retry_successes += 1;
                             }

@@ -20,10 +20,18 @@
 //! test, not a link-table lookup). A [`RoutingScratch`] carries the
 //! bucket ring, a memo of already-solved sources, and solver counters
 //! across sources so per-vantage loops stop reallocating.
+//!
+//! The solve also records, for every router it reaches, the interface
+//! it was reached on — its end of the link from its parent. That is the
+//! address a traceroute hop reports, so trace walks read one array slot
+//! per hop instead of scanning the hop router's adjacency list for the
+//! previous router. The three per-router arrays are `u32`: a cost is at
+//! most `INTER_COST` per hop over at most `n - 1` hops, which
+//! [`RoutingOracle::new_in`] checks fits.
 
 pub mod reference;
 
-use geotopo_topology::{RouterId, Topology};
+use geotopo_topology::{InterfaceId, LinkId, RouterId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -37,6 +45,11 @@ pub const INTER_COST: u64 = 30;
 /// at most `INTER_COST` past it, which spans
 /// `INTER_COST / INTRA_COST + 1` distinct `INTRA_COST`-granular values.
 const NUM_BUCKETS: usize = (INTER_COST / INTRA_COST) as usize + 1;
+
+/// "No such router / interface / distance" in the oracle's `u32` arrays:
+/// the parent and incoming interface of the source and of unreachable
+/// routers, and the distance of unreachable routers.
+const NONE: u32 = u32::MAX;
 
 /// Solver counters, accumulated on the owning [`RoutingScratch`] and
 /// absorbed into telemetry as `routing.*` by the collection stages.
@@ -116,11 +129,15 @@ impl RoutingScratch {
 #[derive(Debug, Clone)]
 pub struct RoutingOracle {
     source: RouterId,
-    /// Parent of each router on its path from the source (`None` for the
-    /// source itself and for unreachable routers).
-    parent: Vec<Option<RouterId>>,
-    /// Distance in cost units (`u64::MAX` = unreachable).
-    dist: Vec<u64>,
+    /// Parent of each router on its path from the source ([`NONE`] for
+    /// the source itself and for unreachable routers).
+    parent: Vec<u32>,
+    /// Distance in cost units ([`NONE`] = unreachable).
+    dist: Vec<u32>,
+    /// The interface each router was reached on: its endpoint of the
+    /// link from its parent ([`NONE`] for the source and unreachable
+    /// routers).
+    via: Vec<u32>,
 }
 
 impl RoutingOracle {
@@ -141,6 +158,11 @@ impl RoutingOracle {
     /// strictly positive, so settling one entry cannot improve another
     /// in the same bucket) and is sorted by router index before
     /// relaxation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has so many routers that a path cost
+    /// could overflow `u32` (more than `u32::MAX / INTER_COST`).
     pub fn new_in(topology: &Topology, source: RouterId, scratch: &mut RoutingScratch) -> Self {
         Self::solve(topology, source, &mut scratch.core, &mut scratch.stats)
     }
@@ -155,11 +177,19 @@ impl RoutingOracle {
         core: &mut SolveState,
         stats: &mut RoutingStats,
     ) -> Self {
+        const INTRA: u32 = INTRA_COST as u32;
+        const WEIGHT: [u32; 2] = [INTRA, INTER_COST as u32];
         let n = topology.num_routers();
+        assert!(
+            (n as u64).saturating_mul(INTER_COST) < u64::from(NONE),
+            "{n} routers: path costs could overflow u32"
+        );
         // analyze: allow(alloc): the oracle's owned distance array, one per solved source
-        let mut dist = vec![u64::MAX; n];
+        let mut dist = vec![NONE; n];
         // analyze: allow(alloc): the oracle's owned parent array, one per solved source
-        let mut parent: Vec<Option<RouterId>> = vec![None; n];
+        let mut parent = vec![NONE; n];
+        // analyze: allow(alloc): the oracle's owned incoming-interface array, one per solved source
+        let mut via = vec![NONE; n];
         stats.sources_solved += 1;
         if core.warm {
             stats.bucket_reuses += 1;
@@ -172,8 +202,7 @@ impl RoutingOracle {
         dist[source.0 as usize] = 0;
         buckets[0].push(source.0);
         let mut pending = 1usize;
-        let mut cur = 0u64; // frontier distance, in INTRA_COST units
-        const WEIGHT: [u64; 2] = [INTRA_COST, INTER_COST];
+        let mut cur = 0u32; // frontier distance, in INTRA_COST units
         while pending > 0 {
             let slot = (cur as usize) % NUM_BUCKETS;
             if buckets[slot].is_empty() {
@@ -186,7 +215,7 @@ impl RoutingOracle {
             let mut batch = std::mem::take(&mut buckets[slot]);
             pending -= batch.len();
             batch.sort_unstable();
-            let d = cur * INTRA_COST;
+            let d = cur * INTRA;
             for &u in &batch {
                 if dist[u as usize] != d {
                     continue; // stale: improved after this entry was pushed
@@ -197,8 +226,11 @@ impl RoutingOracle {
                     let vi = e.neighbor().0 as usize;
                     if nd < dist[vi] {
                         dist[vi] = nd;
-                        parent[vi] = Some(RouterId(u));
-                        buckets[((nd / INTRA_COST) as usize) % NUM_BUCKETS].push(vi as u32);
+                        parent[vi] = u;
+                        // The relaxing link for now; resolved to the
+                        // child's interface once the tree is final.
+                        via[vi] = e.link().0;
+                        buckets[(nd / INTRA) as usize % NUM_BUCKETS].push(vi as u32);
                         pushes += 1;
                         pending += 1;
                     }
@@ -208,12 +240,26 @@ impl RoutingOracle {
             buckets[slot] = batch;
             cur += 1;
         }
+        // Each reached router's incoming interface is its end of the
+        // link it was last relaxed over. `TopologyBuilder` rejects
+        // parallel links, so this is `interface_between(v, parent(v))`.
+        for (v, slot) in via.iter_mut().enumerate() {
+            if *slot != NONE {
+                let link = topology.link(LinkId(*slot));
+                *slot = if topology.interface(link.a).router.0 as usize == v {
+                    link.a.0
+                } else {
+                    link.b.0
+                };
+            }
+        }
         stats.edges_relaxed += edges;
         stats.bucket_pushes += pushes;
         RoutingOracle {
             source,
             parent,
             dist,
+            via,
         }
     }
 
@@ -224,14 +270,36 @@ impl RoutingOracle {
 
     /// Whether `dst` is reachable from the source.
     pub fn reachable(&self, dst: RouterId) -> bool {
-        self.dist[dst.0 as usize] != u64::MAX
+        self.dist[dst.0 as usize] != NONE
     }
 
     /// Path cost to `dst`, if reachable.
     pub fn cost(&self, dst: RouterId) -> Option<u64> {
         match self.dist[dst.0 as usize] {
-            u64::MAX => None,
-            d => Some(d),
+            NONE => None,
+            d => Some(u64::from(d)),
+        }
+    }
+
+    /// The router before `r` on its path from the source: `None` for the
+    /// source itself and for unreachable routers.
+    #[inline]
+    pub fn parent(&self, r: RouterId) -> Option<RouterId> {
+        match self.parent[r.0 as usize] {
+            NONE => None,
+            p => Some(RouterId(p)),
+        }
+    }
+
+    /// The interface `r` was reached on — its end of the link from
+    /// [`parent`](Self::parent), the address a traceroute probe
+    /// expiring at `r` reports. `None` for the source and unreachable
+    /// routers.
+    #[inline]
+    pub fn incoming_interface(&self, r: RouterId) -> Option<InterfaceId> {
+        match self.via[r.0 as usize] {
+            NONE => None,
+            i => Some(InterfaceId(i)),
         }
     }
 
@@ -284,7 +352,7 @@ impl Iterator for WalkUp<'_> {
 
     fn next(&mut self) -> Option<RouterId> {
         let here = self.cur?;
-        self.cur = self.oracle.parent[here.0 as usize];
+        self.cur = self.oracle.parent(here);
         Some(here)
     }
 }
@@ -402,8 +470,16 @@ mod tests {
         for src in 0..12u32 {
             let fast = RoutingOracle::new(&t, RouterId(src));
             let (dist, parent) = reference::solve(&t, RouterId(src));
-            assert_eq!(fast.dist, dist, "dist diverged from source {src}");
-            assert_eq!(fast.parent, parent, "parent diverged from source {src}");
+            let fast_dist: Vec<u64> = (0..12)
+                .map(|v| fast.cost(RouterId(v)).unwrap_or(u64::MAX))
+                .collect();
+            let fast_parent: Vec<_> = (0..12).map(|v| fast.parent(RouterId(v))).collect();
+            assert_eq!(fast_dist, dist, "dist diverged from source {src}");
+            assert_eq!(fast_parent, parent, "parent diverged from source {src}");
+            for v in (0..12).map(RouterId) {
+                let expect = fast.parent(v).and_then(|p| t.interface_between(v, p));
+                assert_eq!(fast.incoming_interface(v), expect, "interface of {v:?}");
+            }
         }
     }
 

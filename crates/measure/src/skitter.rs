@@ -107,16 +107,16 @@ impl SkitterOutput {
 }
 
 /// One dataset event recorded by a trace chunk, replayed serially in
-/// (monitor, chunk) order. Interfaces are named by id — the epilogue
-/// resolves them through a vec-indexed intern cache instead of a by-IP
-/// hash probe per event.
+/// (monitor, chunk) order. Interfaces and end hosts are named by index —
+/// the fold resolves both through vec-indexed intern caches instead of a
+/// by-IP hash probe per event.
 #[derive(Debug, Clone, Copy)]
 enum ReplayEvent {
     /// A responding hop: intern the interface and link it to the
     /// previous node in the chain.
     Iface(InterfaceId),
-    /// The destination end host answering last.
-    Host(Ipv4Addr),
+    /// The end host of destination-list entry `.0` answering last.
+    Host(u32),
     /// Chain break (silent router or end of a trace).
     Break,
 }
@@ -132,47 +132,86 @@ struct TraceChunk {
     skipped: u64,
     probes_sent: u64,
     ticks_elapsed: u64,
+    /// Link sightings the chunk did not replay because an earlier
+    /// destination of its monitor already walked them: all duplicates.
+    repeat_links: u64,
     fstats: FaultStats,
 }
 
-/// The Skitter collector.
+/// What a trace chunk under an inert plan does not walk but must still
+/// count, summed over the chunk's destinations by its monitor's phase-1
+/// job.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkTally {
+    /// Hops of the chunk's routes in full: one probe and one virtual
+    /// tick each.
+    hops: u64,
+    /// Link sightings on route prefixes an earlier destination of the
+    /// same monitor walked.
+    repeat_links: u64,
+}
+
+/// What a campaign counts besides the dataset, accumulated in job-index
+/// order.
 #[derive(Debug)]
-pub struct Skitter;
+struct Counters {
+    records: Vec<MonitorRecord>,
+    faults: FaultStats,
+    probes_sent: u64,
+    virtual_ticks: u64,
+    routing: RoutingStats,
+}
 
-impl Skitter {
-    /// Runs a fault-free collection over the ground-truth world.
-    pub fn collect(gt: &GroundTruth, cfg: &SkitterConfig) -> SkitterOutput {
-        Self::collect_with_faults(gt, cfg, &FaultConfig::none())
-    }
+/// One monitor's phase-1 result, shared by reference into every trace
+/// chunk of that monitor.
+#[derive(Debug)]
+struct MonitorTree {
+    oracle: RoutingOracle,
+    /// Under an inert plan, for each router: the index of the first
+    /// destination whose route reaches it ([`UNVISITED`] for the monitor
+    /// itself and for routers no traced route reaches). Empty under an
+    /// active plan.
+    first_visit: Vec<u32>,
+    /// Under an inert plan, one tally per destination chunk.
+    tallies: Vec<ChunkTally>,
+}
 
-    /// Runs a collection under an injected fault plan, executing every
-    /// trace chunk serially. With an inert plan this is byte-identical
-    /// to [`collect`](Self::collect): fault decisions are hash-derived
-    /// in virtual probe-tick time and never touch the collection RNG
-    /// stream.
-    pub fn collect_with_faults(
-        gt: &GroundTruth,
-        cfg: &SkitterConfig,
-        faults: &FaultConfig,
-    ) -> SkitterOutput {
-        Self::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
-    }
+/// [`MonitorTree::first_visit`] of a router no traced route reaches.
+const UNVISITED: u32 = u32::MAX;
 
-    /// Runs a collection with its interior jobs dispatched through
-    /// `exec` — the engine passes its deterministic scoped-thread
-    /// scheduler here. Parallelism is two-layered: one routing oracle
-    /// per monitor, then one trace job per (monitor, [`DEST_CHUNK`]
-    /// destinations) pair, so a 19-monitor campaign exposes far more
-    /// than 19 units of work. The output is byte-identical for any
-    /// conforming [`ChunkExec`] because all RNG draws happen up front
-    /// in the serial prologue, each trace chunk owns a fixed slice of
-    /// the virtual fault clock, and results merge in job-index order.
-    pub fn collect_with_faults_exec(
-        gt: &GroundTruth,
+/// Everything the serial prologue fixes before any job runs: the
+/// destination list, the monitors, every RNG draw, the fault plan and
+/// the per-destination attachment routers. Trace jobs read it and
+/// nothing else, so their output cannot depend on scheduling.
+#[derive(Debug)]
+struct Campaign<'a> {
+    gt: &'a GroundTruth,
+    destinations: Vec<Ipv4Addr>,
+    dest_set: HashSet<Ipv4Addr>,
+    monitors: Vec<RouterId>,
+    sim: TracerouteSim<'a>,
+    /// Coverage coins, monitor-major: `coverage[m * destinations + d]`.
+    coverage: Vec<bool>,
+    plan: FaultPlan,
+    /// Virtual-clock slice each monitor owns.
+    slice_len: u64,
+    /// Virtual-clock stride between a monitor's chunks.
+    chunk_ticks: u64,
+    n_dest_chunks: usize,
+    /// Access router of each destination (`None`: unallocated space or
+    /// an AS without routers).
+    attach: Vec<Option<RouterId>>,
+}
+
+impl<'a> Campaign<'a> {
+    /// The serial prologue: every RNG draw of the campaign, in one
+    /// fixed order.
+    fn plan(
+        gt: &'a GroundTruth,
         cfg: &SkitterConfig,
         faults: &FaultConfig,
         exec: &impl ChunkExec,
-    ) -> SkitterOutput {
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let t = &gt.topology;
 
@@ -254,158 +293,225 @@ impl Skitter {
             })
             .concat();
 
-        // Phase 1: one policy-aware shortest-path oracle per monitor.
-        // Oracles are immutable after the solve and shared by reference
-        // into every trace chunk of their monitor.
-        let mut solved = exec.dispatch(monitors.len(), &|m| {
-            let mut scratch = RoutingScratch::new();
-            let oracle = RoutingOracle::new_in(t, monitors[m], &mut scratch);
-            (oracle, scratch.stats)
-        });
-        let mut routing = RoutingStats::default();
-        let mut oracles = Vec::with_capacity(solved.len());
-        for (oracle, stats) in solved.drain(..) {
-            routing.absorb(&stats);
-            oracles.push(oracle);
+        Campaign {
+            gt,
+            chunk_ticks: (slice_len / n_dest_chunks as u64).max(1),
+            destinations,
+            dest_set,
+            monitors,
+            sim,
+            coverage,
+            plan,
+            slice_len,
+            n_dest_chunks,
+            attach,
         }
+    }
 
-        // Phase 2: trace jobs, one per (monitor, destination chunk),
-        // monitor-major so the merge below reads in the same nested
-        // order the serial loop produced. Each chunk opens its own
-        // fault session at a fixed tick — monitor slice base plus a
-        // per-chunk stride — so its hash-derived fate stream depends
-        // only on its own coordinates, never on scheduling.
-        let chunk_ticks = (slice_len / n_dest_chunks as u64).max(1);
-        let n_jobs = monitors.len() * n_dest_chunks;
-        let trace_job = |j: usize| -> TraceChunk {
-            let m_idx = j / n_dest_chunks;
-            let c = j % n_dest_chunks;
-            let lo = c * DEST_CHUNK;
-            let hi = ((c + 1) * DEST_CHUNK).min(destinations.len());
-            let oracle = &oracles[m_idx];
-            let base = m_idx as u64 * slice_len + c as u64 * chunk_ticks;
-            let mut session = FaultSession::at_tick(&plan, base);
-            let mut buf = TraceBuf::new();
-            let mut replay: Vec<ReplayEvent> = Vec::new();
-            let (mut probes, mut skipped) = (0u64, 0u64);
-            let cover = &coverage[m_idx * destinations.len()..(m_idx + 1) * destinations.len()];
-            for d_idx in lo..hi {
-                if !cover[d_idx] {
-                    continue;
-                }
-                if session.monitor_down(m_idx) {
-                    skipped += 1;
-                    session.stats.outage_skips += 1;
-                    continue;
-                }
-                probes += 1;
-                let Some(dst) = attach[d_idx] else { continue };
-                let Some(hops) = sim.trace_with_faults_into(oracle, dst, &mut session, &mut buf)
-                else {
-                    continue;
-                };
-                // Record the chain events: reported interfaces extend
-                // it, silence breaks it so no false link spans an
-                // unresponsive router.
-                let mut chained = false;
-                for hop in hops {
-                    match hop.interface {
-                        Some(iface) => {
-                            replay.push(ReplayEvent::Iface(iface));
-                            chained = true;
-                        }
-                        None => {
-                            replay.push(ReplayEvent::Break);
-                            chained = false;
-                        }
-                    }
-                }
-                // The destination end host responds last.
-                if chained {
-                    replay.push(ReplayEvent::Host(destinations[d_idx]));
-                }
-                replay.push(ReplayEvent::Break);
+    /// Zeroed counters with one record per planned monitor.
+    fn counters(&self) -> Counters {
+        Counters {
+            records: self
+                .monitors
+                .iter()
+                .map(|m| MonitorRecord {
+                    router: m.0,
+                    node: None,
+                    probes: 0,
+                    skipped: 0,
+                })
+                .collect(),
+            faults: FaultStats::default(),
+            probes_sent: 0,
+            virtual_ticks: 0,
+            routing: RoutingStats::default(),
+        }
+    }
+
+    /// Destination indices of chunk `c`.
+    fn chunk(&self, c: usize) -> std::ops::Range<usize> {
+        c * DEST_CHUNK..((c + 1) * DEST_CHUNK).min(self.destinations.len())
+    }
+
+    /// Monitor `m`'s coverage coins, indexed by destination.
+    fn cover(&self, m: usize) -> &[bool] {
+        let n = self.destinations.len();
+        &self.coverage[m * n..(m + 1) * n]
+    }
+
+    /// The virtual tick chunk `c` of monitor `m` starts at: the
+    /// monitor's slice base plus a per-chunk stride, so the chunk's
+    /// hash-derived fate stream depends only on its own coordinates.
+    fn chunk_base(&self, m: usize, c: usize) -> u64 {
+        m as u64 * self.slice_len + c as u64 * self.chunk_ticks
+    }
+
+    /// The attachment router of destination `d` if the monitor with
+    /// coverage coins `cover` traces it and `oracle` routes to it — the
+    /// destinations whose routes form the monitor's route tree under an
+    /// inert plan.
+    fn traced_route(&self, oracle: &RoutingOracle, cover: &[bool], d: usize) -> Option<RouterId> {
+        self.attach[d].filter(|&dst| cover[d] && oracle.reachable(dst))
+    }
+
+    /// Phase 1 for monitor `m`: its routing oracle and, under an inert
+    /// plan, its route tree's first-visit marks and chunk tallies.
+    ///
+    /// Destinations are walked in list order, each from its attachment
+    /// router up to the first router an earlier destination reached (or
+    /// the monitor), so every tree edge is walked once. A per-router
+    /// `(hops, chained links)` prefix count — transient, freed with the
+    /// job — turns the stopping router into the tally of the walk's
+    /// skipped prefix.
+    fn solve_monitor(&self, m: usize, inert: bool) -> (MonitorTree, RoutingStats) {
+        let t = &self.gt.topology;
+        let mut scratch = RoutingScratch::new();
+        let oracle = RoutingOracle::new_in(t, self.monitors[m], &mut scratch);
+        if !inert {
+            let tree = MonitorTree {
+                oracle,
+                first_visit: Vec::new(),
+                tallies: Vec::new(),
+            };
+            return (tree, scratch.stats);
+        }
+        let source = self.monitors[m];
+        let cover = self.cover(m);
+        let mut first_visit = vec![UNVISITED; t.num_routers()];
+        let mut prefix = vec![(0u32, 0u32); t.num_routers()];
+        let mut tallies = vec![ChunkTally::default(); self.n_dest_chunks];
+        let mut fresh: Vec<RouterId> = Vec::new();
+        for d in 0..self.destinations.len() {
+            let Some(dst) = self.traced_route(&oracle, cover, d) else {
+                continue;
+            };
+            fresh.clear();
+            let mut r = dst;
+            while r != source && first_visit[r.0 as usize] == UNVISITED {
+                fresh.push(r);
+                r = oracle.parent(r).unwrap_or(source);
             }
-            TraceChunk {
-                replay,
-                probes,
-                skipped,
-                probes_sent: session.probes_sent(),
-                ticks_elapsed: session.tick() - base,
-                fstats: session.stats,
+            let (mut hops, mut links) = prefix[r.0 as usize];
+            let tally = &mut tallies[d / DEST_CHUNK];
+            tally.repeat_links += u64::from(links);
+            let mut prev = r;
+            for &v in fresh.iter().rev() {
+                hops += 1;
+                if prev != source && self.sim.is_responsive(prev) && self.sim.is_responsive(v) {
+                    links += 1;
+                }
+                prefix[v.0 as usize] = (hops, links);
+                first_visit[v.0 as usize] = d as u32;
+                prev = v;
             }
+            tally.hops += u64::from(prefix[dst.0 as usize].0);
+        }
+        let tree = MonitorTree {
+            oracle,
+            first_visit,
+            tallies,
         };
+        (tree, scratch.stats)
+    }
 
-        // Serial epilogue, interleaved in waves: trace jobs are
-        // dispatched [`TRACE_WAVE_JOBS`] at a time and each wave's
-        // replay logs are folded into the dataset (in job-index order)
-        // before the next wave runs, so at most one wave of raw event
-        // logs is resident — a large campaign records tens of millions
-        // of events, and materializing them all at once costs ~10x the
-        // final dataset in peak RSS. Wave boundaries are fixed (never
-        // derived from the thread count), so node interning — and with
-        // it every downstream byte — is schedule-independent.
-        // Interfaces intern through a vec-indexed cache; only first
-        // sightings and end hosts touch the dataset's by-IP hash map.
-        let mut dataset = MeasuredDataset::new(NodeKind::Interface);
-        let mut records: Vec<MonitorRecord> = monitors
-            .iter()
-            .map(|m| MonitorRecord {
-                router: m.0,
-                node: None,
-                probes: 0,
-                skipped: 0,
-            })
-            .collect();
-        let mut fault_stats = FaultStats::default();
-        let (mut probes_sent, mut virtual_ticks) = (0u64, 0u64);
-        let mut iface_node: Vec<u32> = vec![u32::MAX; t.num_interfaces()];
-        let mut wave_base = 0usize;
-        while wave_base < n_jobs {
-            let wave_len = TRACE_WAVE_JOBS.min(n_jobs - wave_base);
-            let chunks = exec.dispatch(wave_len, &|w| trace_job(wave_base + w));
-            // Chunks are consumed by value so each replay log is freed
-            // as soon as it has been replayed: the allocator reuses
-            // those pages for the growing dataset.
-            for (w, chunk) in chunks.into_iter().enumerate() {
-                let j = wave_base + w;
-                let mut prev: Option<u32> = None;
-                for ev in &chunk.replay {
-                    match ev {
-                        ReplayEvent::Iface(id) => {
-                            let slot = &mut iface_node[id.0 as usize];
-                            let node = if *slot != u32::MAX {
-                                *slot
-                            } else {
-                                let node = dataset.intern(t.interface(*id).ip);
-                                *slot = node;
-                                node
-                            };
-                            if let Some(p) = prev {
-                                dataset.observe_link(p, node);
-                            }
-                            prev = Some(node);
-                        }
-                        ReplayEvent::Host(ip) => {
-                            let node = dataset.intern(*ip);
-                            if let Some(p) = prev {
-                                dataset.observe_link(p, node);
-                            }
-                            prev = Some(node);
-                        }
-                        ReplayEvent::Break => prev = None,
-                    }
-                }
-                let record = &mut records[j / n_dest_chunks];
-                record.probes += chunk.probes;
-                record.skipped += chunk.skipped;
-                fault_stats.absorb(&chunk.fstats);
-                probes_sent += chunk.probes_sent;
-                virtual_ticks += chunk.ticks_elapsed;
+    /// Phase 2 under an inert plan: chunk `c` of monitor `m` emits only
+    /// the hops of each route that no earlier destination of the
+    /// monitor walked. The route tree makes those a suffix; the router
+    /// above it starts the chain when it answers, exactly as it would
+    /// have at the end of the skipped prefix. Everything skipped is
+    /// counted from the phase-1 tally.
+    fn walk_new_suffixes(&self, tree: &MonitorTree, m: usize, c: usize) -> TraceChunk {
+        let oracle = &tree.oracle;
+        let cover = self.cover(m);
+        let mut replay: Vec<ReplayEvent> = Vec::new();
+        let mut fresh: Vec<RouterId> = Vec::new();
+        let mut probes = 0u64;
+        for d in self.chunk(c) {
+            if !cover[d] {
+                continue;
             }
-            wave_base += wave_len;
+            probes += 1;
+            let Some(dst) = self.traced_route(oracle, cover, d) else {
+                continue;
+            };
+            fresh.clear();
+            let mut r = dst;
+            while tree.first_visit[r.0 as usize] == d as u32 {
+                fresh.push(r);
+                r = oracle.parent(r).unwrap_or(oracle.source());
+            }
+            let mut chained = false;
+            for &v in std::iter::once(&r).chain(fresh.iter().rev()) {
+                // The monitor emits, it does not report.
+                if v != oracle.source() {
+                    let reported = oracle.incoming_interface(v);
+                    chained = push_hop(&mut replay, reported.filter(|_| self.sim.is_responsive(v)));
+                }
+            }
+            end_trace(&mut replay, chained, d);
         }
+        let tally = tree.tallies[c];
+        TraceChunk {
+            replay,
+            probes,
+            skipped: 0,
+            probes_sent: tally.hops,
+            ticks_elapsed: tally.hops,
+            repeat_links: tally.repeat_links,
+            fstats: FaultStats::default(),
+        }
+    }
 
+    /// Phase 2 under an active plan: chunk `c` of monitor `m` traces
+    /// every hop through its own fault session, since each probe takes
+    /// a virtual tick and draws a fate.
+    fn walk_every_hop(&self, oracle: &RoutingOracle, m: usize, c: usize) -> TraceChunk {
+        let cover = self.cover(m);
+        let base = self.chunk_base(m, c);
+        let mut session = FaultSession::at_tick(&self.plan, base);
+        let mut buf = TraceBuf::new();
+        let mut replay: Vec<ReplayEvent> = Vec::new();
+        let (mut probes, mut skipped) = (0u64, 0u64);
+        for d in self.chunk(c) {
+            if !cover[d] {
+                continue;
+            }
+            if session.monitor_down(m) {
+                skipped += 1;
+                session.stats.outage_skips += 1;
+                continue;
+            }
+            probes += 1;
+            let Some(dst) = self.attach[d] else { continue };
+            let Some(hops) = self
+                .sim
+                .trace_with_faults_into(oracle, dst, &mut session, &mut buf)
+            else {
+                continue;
+            };
+            let mut chained = false;
+            for hop in hops {
+                chained = push_hop(&mut replay, hop.interface);
+            }
+            end_trace(&mut replay, chained, d);
+        }
+        TraceChunk {
+            replay,
+            probes,
+            skipped,
+            probes_sent: session.probes_sent(),
+            ticks_elapsed: session.tick() - base,
+            repeat_links: 0,
+            fstats: session.stats,
+        }
+    }
+
+    /// The serial epilogue: anchors each monitor record at its router's
+    /// lowest-indexed interface in the dataset, then discards the
+    /// destination-list end hosts.
+    fn finish(self, mut dataset: MeasuredDataset, counters: Counters) -> SkitterOutput {
+        let t = &self.gt.topology;
+        let mut records = counters.records;
         // Anchor each monitor record at the lowest-indexed interface of
         // its router present in the dataset (before destination
         // discarding — remove_nodes remaps or clears the reference).
@@ -421,13 +527,13 @@ impl Skitter {
             record.node = first_node_of_router.get(&record.router).copied();
         }
         let failed_monitors = records.iter().filter(|r| r.failed()).count();
-        dataset.anomalies.faults.absorb(&fault_stats);
+        dataset.anomalies.faults.absorb(&counters.faults);
         dataset.anomalies.monitors = records;
 
         // Discard destination-list interfaces (end hosts).
         let raw_nodes = dataset.num_nodes();
         let mut remove: HashSet<u32> = HashSet::new();
-        for ip in &dest_set {
+        for ip in &self.dest_set {
             if let Some(n) = dataset.node_by_ip(*ip) {
                 remove.insert(n);
             }
@@ -439,13 +545,179 @@ impl Skitter {
             dataset,
             raw_nodes,
             discarded_destinations,
-            monitors,
+            monitors: self.monitors,
             failed_monitors,
-            probes_sent,
-            virtual_ticks,
-            routing,
+            probes_sent: counters.probes_sent,
+            virtual_ticks: counters.virtual_ticks,
+            routing: counters.routing,
         }
     }
+}
+
+/// The Skitter collector.
+#[derive(Debug)]
+pub struct Skitter;
+
+impl Skitter {
+    /// Runs a fault-free collection over the ground-truth world.
+    pub fn collect(gt: &GroundTruth, cfg: &SkitterConfig) -> SkitterOutput {
+        Self::collect_with_faults(gt, cfg, &FaultConfig::none())
+    }
+
+    /// Runs a collection under an injected fault plan, executing every
+    /// trace chunk serially. With an inert plan this is byte-identical
+    /// to [`collect`](Self::collect): fault decisions are hash-derived
+    /// in virtual probe-tick time and never touch the collection RNG
+    /// stream.
+    pub fn collect_with_faults(
+        gt: &GroundTruth,
+        cfg: &SkitterConfig,
+        faults: &FaultConfig,
+    ) -> SkitterOutput {
+        Self::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
+    }
+
+    /// Runs a collection with its interior jobs dispatched through
+    /// `exec` — the engine passes its deterministic scoped-thread
+    /// scheduler here. Parallelism is two-layered: one routing oracle
+    /// per monitor, then one trace job per (monitor, [`DEST_CHUNK`]
+    /// destinations) pair, so a 19-monitor campaign exposes far more
+    /// than 19 units of work. The output is byte-identical for any
+    /// conforming [`ChunkExec`] because all RNG draws happen up front
+    /// in the serial prologue, each trace chunk owns a fixed slice of
+    /// the virtual fault clock, and results merge in job-index order.
+    ///
+    /// Under an inert plan each monitor's routes form one route tree,
+    /// and a trace chunk emits only the hops no earlier destination of
+    /// its monitor walked (see `Campaign::walk_new_suffixes`); an
+    /// active plan walks every hop, because every probe consumes a
+    /// virtual tick and draws a fate. Both give the bytes and counters
+    /// of the per-hop walk.
+    pub fn collect_with_faults_exec(
+        gt: &GroundTruth,
+        cfg: &SkitterConfig,
+        faults: &FaultConfig,
+        exec: &impl ChunkExec,
+    ) -> SkitterOutput {
+        let campaign = Campaign::plan(gt, cfg, faults, exec);
+        let t = &gt.topology;
+        let n_monitors = campaign.monitors.len();
+
+        // Phase 1: one policy-aware shortest-path oracle per monitor —
+        // plus, under an inert plan, its route tree's first-visit marks.
+        // Trees are immutable after the solve and shared by reference
+        // into every trace chunk of their monitor.
+        let inert = faults.is_inert();
+        let mut counters = campaign.counters();
+        let mut trees = Vec::with_capacity(n_monitors);
+        for (tree, stats) in exec.dispatch(n_monitors, &|m| campaign.solve_monitor(m, inert)) {
+            counters.routing.absorb(&stats);
+            trees.push(tree);
+        }
+
+        // Phase 2: trace jobs, one per (monitor, destination chunk),
+        // monitor-major so the merge below reads in the same nested
+        // order the serial loop produced.
+        let n_dest_chunks = campaign.n_dest_chunks;
+        let n_jobs = n_monitors * n_dest_chunks;
+        let trace_job = |j: usize| -> TraceChunk {
+            let (m, c) = (j / n_dest_chunks, j % n_dest_chunks);
+            if inert {
+                campaign.walk_new_suffixes(&trees[m], m, c)
+            } else {
+                campaign.walk_every_hop(&trees[m].oracle, m, c)
+            }
+        };
+
+        // Serial epilogue, interleaved in waves: trace jobs are
+        // dispatched [`TRACE_WAVE_JOBS`] at a time and each wave's
+        // replay logs are folded into the dataset (in job-index order)
+        // before the next wave runs, so at most one wave of raw event
+        // logs is resident — a large campaign records millions of
+        // events, and materializing them all at once costs a multiple
+        // of the final dataset in peak RSS. Wave boundaries are fixed
+        // (never derived from the thread count), so node interning —
+        // and with it every downstream byte — is schedule-independent.
+        // Interfaces and end hosts intern through vec-indexed caches;
+        // only first sightings touch the dataset's by-IP hash map.
+        let mut dataset = MeasuredDataset::new(NodeKind::Interface);
+        let mut iface_node: Vec<u32> = vec![u32::MAX; t.num_interfaces()];
+        let mut host_node: Vec<u32> = vec![u32::MAX; campaign.destinations.len()];
+        let mut wave_base = 0usize;
+        while wave_base < n_jobs {
+            let wave_len = TRACE_WAVE_JOBS.min(n_jobs - wave_base);
+            let chunks = exec.dispatch(wave_len, &|w| trace_job(wave_base + w));
+            // Chunks are consumed by value so each replay log is freed
+            // as soon as it has been replayed: the allocator reuses
+            // those pages for the growing dataset.
+            for (w, chunk) in chunks.into_iter().enumerate() {
+                let j = wave_base + w;
+                let mut prev: Option<u32> = None;
+                for ev in &chunk.replay {
+                    let node = match *ev {
+                        ReplayEvent::Iface(id) => {
+                            intern_cached(&mut dataset, &mut iface_node[id.0 as usize], || {
+                                t.interface(id).ip
+                            })
+                        }
+                        ReplayEvent::Host(d) => {
+                            intern_cached(&mut dataset, &mut host_node[d as usize], || {
+                                campaign.destinations[d as usize]
+                            })
+                        }
+                        ReplayEvent::Break => {
+                            prev = None;
+                            continue;
+                        }
+                    };
+                    if let Some(p) = prev {
+                        dataset.observe_link(p, node);
+                    }
+                    prev = Some(node);
+                }
+                dataset.anomalies.duplicate_links += chunk.repeat_links;
+                let record = &mut counters.records[j / n_dest_chunks];
+                record.probes += chunk.probes;
+                record.skipped += chunk.skipped;
+                counters.faults.absorb(&chunk.fstats);
+                counters.probes_sent += chunk.probes_sent;
+                counters.virtual_ticks += chunk.ticks_elapsed;
+            }
+            wave_base += wave_len;
+        }
+        campaign.finish(dataset, counters)
+    }
+}
+
+/// Records one hop: a reported interface extends the chain, silence
+/// breaks it so no false link spans an unresponsive router. Returns
+/// whether the chain is open.
+fn push_hop(replay: &mut Vec<ReplayEvent>, reported: Option<InterfaceId>) -> bool {
+    replay.push(reported.map_or(ReplayEvent::Break, ReplayEvent::Iface));
+    reported.is_some()
+}
+
+/// Ends the trace to destination `d`: its end host answers last when
+/// the chain reaches it.
+fn end_trace(replay: &mut Vec<ReplayEvent>, chained: bool, d: usize) {
+    if chained {
+        replay.push(ReplayEvent::Host(d as u32));
+    }
+    replay.push(ReplayEvent::Break);
+}
+
+/// The dataset node behind an intern-cache `slot`, interning `ip()` on
+/// the first sighting. An address keeps its node once interned, so the
+/// cache answers exactly what the by-IP map would.
+fn intern_cached(
+    dataset: &mut MeasuredDataset,
+    slot: &mut u32,
+    ip: impl FnOnce() -> Ipv4Addr,
+) -> u32 {
+    if *slot == u32::MAX {
+        *slot = dataset.intern(ip());
+    }
+    *slot
 }
 
 /// Picks monitor routers spread across regions.
@@ -642,16 +914,6 @@ mod tests {
             response_prob: 0.95,
             seed: 12,
         };
-        struct ReversedExec;
-        impl ChunkExec for ReversedExec {
-            fn dispatch<T: Send>(&self, n: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
-                let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-                for i in (0..n).rev() {
-                    out[i] = Some(job(i));
-                }
-                out.into_iter().flatten().collect()
-            }
-        }
         for faults in [FaultConfig::none(), FaultConfig::at_severity(0.6, 9)] {
             let serial = Skitter::collect_with_faults(&gt, &cfg, &faults);
             let shuffled = Skitter::collect_with_faults_exec(&gt, &cfg, &faults, &ReversedExec);
@@ -659,6 +921,131 @@ mod tests {
                 serde_json::to_string(&serial).unwrap(),
                 serde_json::to_string(&shuffled).unwrap()
             );
+        }
+    }
+
+    /// The per-hop walk with a full replay: every covered destination
+    /// traced hop by hop through its chunk's fault session, every
+    /// sighting interned by IP and linked on the spot. The route-tree
+    /// walk and its caches must reproduce this byte for byte.
+    fn reference_collect(
+        gt: &GroundTruth,
+        cfg: &SkitterConfig,
+        faults: &FaultConfig,
+    ) -> SkitterOutput {
+        let campaign = Campaign::plan(gt, cfg, faults, &SerialExec);
+        let t = &gt.topology;
+        let mut dataset = MeasuredDataset::new(NodeKind::Interface);
+        let mut counters = campaign.counters();
+        let mut buf = TraceBuf::new();
+        for (m, &monitor) in campaign.monitors.iter().enumerate() {
+            let mut scratch = RoutingScratch::new();
+            let oracle = RoutingOracle::new_in(t, monitor, &mut scratch);
+            counters.routing.absorb(&scratch.stats);
+            let cover = campaign.cover(m);
+            for c in 0..campaign.n_dest_chunks {
+                let base = campaign.chunk_base(m, c);
+                let mut session = FaultSession::at_tick(&campaign.plan, base);
+                for d in campaign.chunk(c) {
+                    if !cover[d] {
+                        continue;
+                    }
+                    if session.monitor_down(m) {
+                        counters.records[m].skipped += 1;
+                        session.stats.outage_skips += 1;
+                        continue;
+                    }
+                    counters.records[m].probes += 1;
+                    let Some(dst) = campaign.attach[d] else {
+                        continue;
+                    };
+                    let Some(hops) =
+                        campaign
+                            .sim
+                            .trace_with_faults_into(&oracle, dst, &mut session, &mut buf)
+                    else {
+                        continue;
+                    };
+                    let mut prev: Option<u32> = None;
+                    for hop in hops {
+                        prev = hop.interface.map(|iface| {
+                            let node = dataset.intern(t.interface(iface).ip);
+                            if let Some(p) = prev {
+                                dataset.observe_link(p, node);
+                            }
+                            node
+                        });
+                    }
+                    if let Some(p) = prev {
+                        let host = dataset.intern(campaign.destinations[d]);
+                        dataset.observe_link(p, host);
+                    }
+                }
+                counters.faults.absorb(&session.stats);
+                counters.probes_sent += session.probes_sent();
+                counters.virtual_ticks += session.tick() - base;
+            }
+        }
+        campaign.finish(dataset, counters)
+    }
+
+    /// Runs jobs in reverse index order: the worst-case schedule.
+    struct ReversedExec;
+    impl ChunkExec for ReversedExec {
+        fn dispatch<T: Send>(&self, n: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+            let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+            for i in (0..n).rev() {
+                out[i] = Some(job(i));
+            }
+            out.into_iter().flatten().collect()
+        }
+    }
+
+    /// The plans the route-tree walk is checked under: the inert plan it
+    /// shortcuts, every named active profile, and a total outage.
+    fn plans(seed: u64) -> Vec<FaultConfig> {
+        let mut outage = FaultConfig::none();
+        outage.outage_fraction = 1.0;
+        outage.seed = seed;
+        ["none", "light", "moderate", "heavy"]
+            .iter()
+            .filter_map(|name| FaultConfig::profile(name, seed))
+            .chain([outage])
+            .collect()
+    }
+
+    #[test]
+    fn route_tree_walk_matches_per_hop_reference() {
+        // Random tiny worlds and campaigns, each under every plan and
+        // both schedules: same serialized output, counters included.
+        let mut rng = StdRng::seed_from_u64(0x5C17);
+        for _ in 0..5 {
+            let routers = rng.random_range(300..1_200);
+            let gt =
+                GroundTruth::generate(GroundTruthConfig::at_scale(routers, rng.random())).unwrap();
+            let cfg = SkitterConfig {
+                n_monitors: rng.random_range(1..8),
+                destinations: rng.random_range(50..5_000),
+                monitor_coverage: rng.random_range(0.3..1.0),
+                response_prob: rng.random_range(0.5..1.0),
+                seed: rng.random(),
+            };
+            for faults in plans(rng.random()) {
+                let reference =
+                    serde_json::to_string(&reference_collect(&gt, &cfg, &faults)).unwrap();
+                let serial = Skitter::collect_with_faults_exec(&gt, &cfg, &faults, &SerialExec);
+                assert_eq!(
+                    serde_json::to_string(&serial).unwrap(),
+                    reference,
+                    "{cfg:?} {faults:?}"
+                );
+                let reversed = Skitter::collect_with_faults_exec(&gt, &cfg, &faults, &ReversedExec);
+                assert_eq!(
+                    serde_json::to_string(&reversed).unwrap(),
+                    reference,
+                    "{cfg:?} {faults:?}"
+                );
+            }
         }
     }
 

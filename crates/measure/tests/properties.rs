@@ -134,6 +134,13 @@ proptest! {
                 parent[v as usize],
                 "parent diverged at {}", v
             );
+            // The recorded incoming interface is the router's end of the
+            // link from its parent — what the adjacency scan would find.
+            prop_assert_eq!(
+                fast.incoming_interface(RouterId(v)),
+                parent[v as usize].and_then(|p| t.interface_between(RouterId(v), p)),
+                "incoming interface diverged at {}", v
+            );
         }
     }
 

@@ -85,7 +85,6 @@ pub struct QueryAnswer {
 
 /// Aggregate counts over a snapshot's frozen records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-// analyze: allow(dead-pub): return type of the pub stats() used cross-crate; callers read fields without naming the type
 pub struct QueryStats {
     /// Total frozen addresses.
     pub addresses: usize,

@@ -25,7 +25,6 @@ pub struct BinnedRatio {
 
 /// One bin of the estimated function.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-// analyze: allow(dead-pub): returned by ratios(); callers read fields without naming the type
 pub struct RatioBin {
     /// Lower edge of the bin (the paper plots f(d) at multiples of b).
     pub d: f64,

@@ -223,7 +223,6 @@ impl std::error::Error for GroundTruthError {}
 
 /// Ground-truth AS metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-// analyze: allow(dead-pub): element of the pub as_records field; read via field access, never named
 pub struct AsRecord {
     /// AS number.
     pub asn: AsId,

@@ -4,7 +4,9 @@
 //! of its own crate ever names is surface area without users — either
 //! shrink it to `pub(crate)` or mark it `// analyze: allow(dead-pub)`
 //! with the reason it must stay public (e.g. downstream-facing API
-//! documented in the README).
+//! documented in the README). A `pub` type that a used `pub` item of
+//! its file names in its signature or fields is used as well: callers
+//! reach a returned record through the fn that returns it.
 //!
 //! Layering is GT-LINT-006's alone: a `geotopo_*` path in library code
 //! compiles only if the manifest declares the crate, so the manifest
@@ -35,7 +37,9 @@ impl AnalyzeRule for CrossCrateHygiene {
          A `pub` item (fn, struct, enum, trait, const, static, type alias)\n\
          that is never named outside its own defining file — not in\n\
          another crate, not in any test/bench/example, not in a test region,\n\
-         not elsewhere in its own crate — is unused public surface. Fix by\n\
+         not elsewhere in its own crate — is unused public surface. A `pub`\n\
+         type named in the signature or fields of a used `pub` item of the\n\
+         same file counts as used (to a fixed point). Fix by\n\
          shrinking visibility, deleting the item, or marking the definition\n\
          line `// analyze: allow(dead-pub)` with the reason it must stay\n\
          public. The `xtask` crate itself and `main` are exempt (its library\n\
@@ -72,43 +76,68 @@ impl AnalyzeRule for CrossCrateHygiene {
                 }
             }
         }
-        let mut out = Vec::new();
-        for (file_idx, name, line) in public_items(model) {
-            let (ci, _) = model.files[file_idx];
-            let krate = &ws.crates[ci].name;
-            if krate == "xtask" || name == "main" {
-                continue;
+        // An item is used when something outside its defining file (or
+        // its own tests) names it, or a marker waives it.
+        let items = public_items(model);
+        let mut used: Vec<bool> = items
+            .iter()
+            .map(|item| {
+                let (ci, _) = model.files[item.file];
+                let sf = model.file(item.file);
+                let name = &item.name;
+                ws.crates[ci].name == "xtask"
+                    || name == "main"
+                    || sf.is_allowed(item.line, "dead-pub")
+                    || occ
+                        .get(name)
+                        .is_some_and(|files| files.iter().any(|&f| f != item.file))
+                    || ref_idents.contains(name)
+                    || sf.tree.tokens.iter().any(|t| {
+                        t.kind == TokenKind::Ident
+                            && sf.is_test_line(t.line)
+                            && t.text(&sf.raw) == name
+                    })
+            })
+            .collect();
+        // A type a used item of the same file names in its signature or
+        // fields is used too — callers reach it through that item
+        // without naming it — and so on through the types it names.
+        let mut work: Vec<usize> = (0..items.len()).filter(|&i| used[i]).collect();
+        while let Some(i) = work.pop() {
+            let item = &items[i];
+            let sf = model.file(item.file);
+            let named: HashSet<&str> = sf.tree.tokens[item.signature.clone()]
+                .iter()
+                .filter(|t| t.kind == TokenKind::Ident)
+                .map(|t| t.text(&sf.raw))
+                .collect();
+            for (j, ty) in items.iter().enumerate() {
+                if !used[j]
+                    && ty.is_type
+                    && ty.file == item.file
+                    && named.contains(ty.name.as_str())
+                {
+                    used[j] = true;
+                    work.push(j);
+                }
             }
-            let sf = model.file(file_idx);
-            if sf.is_allowed(line, "dead-pub") {
-                continue;
-            }
-            // Referenced from any *other* src file?
-            let elsewhere = occ
-                .get(&name)
-                .is_some_and(|files| files.iter().any(|&fidx| fidx != file_idx));
-            if elsewhere || ref_idents.contains(&name) {
-                continue;
-            }
-            // Referenced from this file's own test regions?
-            let in_own_tests = sf.tree.tokens.iter().any(|t| {
-                t.kind == TokenKind::Ident && sf.is_test_line(t.line) && t.text(&sf.raw) == name
-            });
-            if in_own_tests {
-                continue;
-            }
-            out.push(Finding {
-                file: sf.path.clone(),
-                line,
+        }
+        items
+            .iter()
+            .zip(used)
+            .filter(|(_, used)| !used)
+            .map(|(item, _)| Finding {
+                file: model.file(item.file).path.clone(),
+                line: item.line,
                 rule: self.id(),
                 message: format!(
-                    "pub item `{name}` is never referenced outside its defining file; \
+                    "pub item `{}` is never referenced outside its defining file; \
                      shrink its visibility or mark it `// analyze: allow(dead-pub)` \
-                     with the reason it must stay public"
+                     with the reason it must stay public",
+                    item.name
                 ),
-            });
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -154,6 +183,45 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 1);
         assert!(f[0].message.contains("unused_api"));
+    }
+
+    #[test]
+    fn types_reached_through_used_signatures_are_clean() {
+        // `Stats` is only returned by the used `stats`, and `Row` only
+        // sits in a field of `Stats`: both reach callers without being
+        // named. `Orphan` appears in no used signature.
+        let ws = WorkspaceSrc {
+            crates: vec![
+                krate(
+                    "geotopo-geo",
+                    &[(
+                        "crates/geo/src/lib.rs",
+                        "pub struct Row { pub n: u32 }
+pub struct Stats {
+    pub rows: Vec<Row>,
+}
+pub struct Orphan;
+pub fn stats() -> Stats { Stats { rows: Vec::new() } }
+",
+                    )],
+                    &[],
+                ),
+                krate(
+                    "geotopo-measure",
+                    &[(
+                        "crates/measure/src/lib.rs",
+                        "fn f() { let s = geotopo_geo::stats(); }
+",
+                    )],
+                    &[],
+                ),
+            ],
+        };
+        let model = Model::build(&ws);
+        let f = CrossCrateHygiene.check(&model);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 5);
+        assert!(f[0].message.contains("`Orphan`"));
     }
 
     #[test]

@@ -574,28 +574,52 @@ fn collect_use_edges(ws: &WorkspaceSrc) -> HashMap<&str, HashSet<&str>> {
     out
 }
 
+/// One `pub` item of the workspace surface; see [`public_items`].
+#[derive(Debug, Clone)]
+pub struct PubItem {
+    /// Index into [`Model::files`].
+    pub file: usize,
+    /// Declared name.
+    pub name: String,
+    /// 1-based line of the item keyword.
+    pub line: usize,
+    /// Whether the item declares a type (struct, enum, trait or alias).
+    pub is_type: bool,
+    /// Token range of the item's signature in its file: a fn up to its
+    /// body, any other item whole (fields, variants, trait methods).
+    pub signature: std::ops::Range<usize>,
+}
+
 /// All `pub` items (workspace surface) per file, for the dead-`pub`
-/// half of GT-AN-003. Returns `(file index, name, line)` tuples.
-pub fn public_items(model: &Model<'_>) -> Vec<(usize, String, usize)> {
+/// half of GT-AN-003.
+pub fn public_items(model: &Model<'_>) -> Vec<PubItem> {
     let mut out = Vec::new();
     for (idx, &(ci, fi)) in model.files.iter().enumerate() {
         let sf = &model.workspace().crates[ci].files[fi];
+        let tokens = &sf.tree.tokens;
         let mut visit = |item: &Item| {
             if item.vis != Vis::Pub || sf.is_test_line(item.line) {
                 return;
             }
-            let named = matches!(
+            let is_type = matches!(
                 item.kind,
-                ItemKind::Fn
-                    | ItemKind::Struct
-                    | ItemKind::Enum
-                    | ItemKind::Trait
-                    | ItemKind::Const
-                    | ItemKind::Static
-                    | ItemKind::TypeAlias
+                ItemKind::Struct | ItemKind::Enum | ItemKind::Trait | ItemKind::TypeAlias
             );
+            let named =
+                is_type || matches!(item.kind, ItemKind::Fn | ItemKind::Const | ItemKind::Static);
             if named && !item.name.is_empty() {
-                out.push((idx, item.name.clone(), item.line));
+                let start = tokens.partition_point(|t| t.line < item.line);
+                let end = match (item.kind, item.body) {
+                    (ItemKind::Fn, Some((body, _))) => body,
+                    _ => tokens.partition_point(|t| t.line <= item.end_line),
+                };
+                out.push(PubItem {
+                    file: idx,
+                    name: item.name.clone(),
+                    line: item.line,
+                    is_type,
+                    signature: start..end.max(start),
+                });
             }
         };
         sf.tree.walk(&mut visit);
@@ -770,7 +794,8 @@ mod tests {
         )]);
         let m = Model::build(&w);
         let items = public_items(&m);
-        let names: Vec<&str> = items.iter().map(|(_, n, _)| n.as_str()).collect();
+        let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
         assert_eq!(names, vec!["api", "Thing"]);
+        assert!(!items[0].is_type && items[1].is_type);
     }
 }
