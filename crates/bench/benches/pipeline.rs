@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use geotopo_bgp::{RouteTable, RouteTableConfig};
 use geotopo_core::experiments;
 use geotopo_core::pipeline::{Pipeline, PipelineConfig};
-use geotopo_measure::{Mercator, MercatorConfig, Skitter, SkitterConfig};
+use geotopo_measure::{FaultConfig, Mercator, MercatorConfig, Skitter, SkitterConfig};
+use geotopo_stats::SerialExec;
 use geotopo_topology::generate::{GroundTruth, GroundTruthConfig};
 use std::hint::black_box;
 
@@ -22,11 +23,15 @@ fn bench_collectors(c: &mut Criterion) {
     let gt = GroundTruth::generate(GroundTruthConfig::tiny(2002)).unwrap();
     c.bench_function("collect/skitter_tiny", |b| {
         let cfg = SkitterConfig::scaled(&gt, 7);
-        b.iter(|| Skitter::collect(black_box(&gt), black_box(&cfg)))
+        let none = FaultConfig::none();
+        b.iter(|| {
+            Skitter::collect_with_faults_exec(black_box(&gt), black_box(&cfg), &none, &SerialExec)
+        })
     });
     c.bench_function("collect/mercator_tiny", |b| {
         let cfg = MercatorConfig::scaled(&gt, 7);
-        b.iter(|| Mercator::collect(black_box(&gt), black_box(&cfg)))
+        let none = FaultConfig::none();
+        b.iter(|| Mercator::collect_with_faults(black_box(&gt), black_box(&cfg), &none))
     });
     c.bench_function("bgp/route_table_synthesis", |b| {
         let cfg = RouteTableConfig::default();

@@ -448,7 +448,6 @@ fn cascade<S: Stage>(
                 validate_ms = vsw.elapsed_ms();
             }
             if let Some(store) = run.store {
-                store.record(CacheStatus::Miss);
                 if let Some(dir) = store.spill_target() {
                     let path = io::dataset_cache_path(dir, &fp.to_string(), &name);
                     if let Err(e) = artifact.save(store.vfs(), &path, &name, fp) {
@@ -507,7 +506,6 @@ fn fetch<T: Artifact>(
     cache_note: &mut Option<String>,
 ) -> Option<(Arc<T>, CacheStatus)> {
     if let Some(artifact) = store.get::<T>(fp) {
-        store.record(CacheStatus::HitMemory);
         t.count("engine.cache.hit_memory", 1);
         return Some((artifact, CacheStatus::HitMemory));
     }
@@ -516,7 +514,6 @@ fn fetch<T: Artifact>(
         CacheRead::Hit(value) => {
             let artifact = Arc::new(value);
             store.put(fp, artifact.clone(), artifact.heap_bytes());
-            store.record(CacheStatus::HitDisk);
             t.count("engine.cache.hit_disk", 1);
             Some((artifact, CacheStatus::HitDisk))
         }

@@ -786,11 +786,16 @@ impl Artifact for ProcessedDataset {
     }
 
     fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
-        // load_dataset also re-checks the dataset's structural
-        // invariants; a violation surfaces as Corrupt, not a miss. A
-        // fingerprint collision (or a tampered file) could hand back the
-        // wrong view; the provenance labels are cheap to check.
-        io::load_dataset(vfs, path, stage, fp).guard(|ds| {
+        // Deserialization bypasses `GeoPoint::new`, so the structural
+        // half of `GeoDataset::validate` (link sanity, coordinate ranges)
+        // runs here; the generating regions are not in the file. A
+        // violation surfaces as Corrupt, not a miss. A fingerprint
+        // collision (or a tampered file) could hand back the wrong view;
+        // the provenance labels are cheap to check.
+        io::load_json::<ProcessedDataset>(vfs, path, stage, fp).guard(|ds| {
+            ds.dataset
+                .validate(&[])
+                .map_err(|e| format!("dataset invariant violated: {e}"))?;
             if map_stage_name(ds.mapper, ds.collector) == stage {
                 Ok(())
             } else {
@@ -806,7 +811,7 @@ impl Artifact for ProcessedDataset {
         stage: &str,
         fp: Fingerprint,
     ) -> Result<(), IoError> {
-        io::save_dataset(vfs, self, path, stage, fp)
+        io::save_json(vfs, self, path, stage, fp)
     }
 }
 
@@ -898,6 +903,39 @@ mod tests {
             }
             seen.insert(s.name());
         }
+    }
+
+    #[test]
+    fn out_of_range_link_rejected_as_corrupt() {
+        use crate::pipeline::{GeoDataset, GeoNode};
+        use crate::vfs::RealVfs;
+        let dir = std::env::temp_dir().join("geotopo_stages_invalid");
+        let path = dir.join("ds.json");
+        let stage = map_stage_name(MapperKind::IxMapper, Collector::Skitter);
+        let node = GeoNode {
+            ip: "1.0.0.1".parse().unwrap(),
+            location: geotopo_geo::GeoPoint::new(40.0, -100.0).unwrap(),
+            asn: geotopo_bgp::AsId(7),
+        };
+        let ds = ProcessedDataset {
+            collector: Collector::Skitter,
+            mapper: MapperKind::IxMapper,
+            dataset: GeoDataset {
+                kind: geotopo_measure::NodeKind::Interface,
+                nodes: vec![node],
+                links: vec![(0, 99)],
+                stats: Default::default(),
+            },
+        };
+        let fp = Fingerprint(0xBEEF);
+        ds.save(&RealVfs, &path, &stage, fp).unwrap();
+        let CacheRead::Corrupt(reason) =
+            <ProcessedDataset as Artifact>::load(&RealVfs, &path, &stage, fp)
+        else {
+            panic!("invalid dataset must be corrupt");
+        };
+        assert!(reason.contains("invariant"), "{reason}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

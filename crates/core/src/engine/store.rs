@@ -10,7 +10,6 @@
 //! surviving process restarts.
 
 use super::fingerprint::Fingerprint;
-use super::scheduler::CacheStatus;
 use super::ErasedArtifact;
 use crate::vfs::{RealVfs, Vfs};
 use std::any::Any;
@@ -38,9 +37,6 @@ pub struct ArtifactStore {
     /// store stops offering a spill target and artifacts stay resident.
     spill_disabled: Mutex<Option<String>>,
     resident: AtomicUsize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    disk_restores: AtomicUsize,
     corrupt_detected: AtomicUsize,
     quarantined: AtomicUsize,
     tmp_swept: AtomicUsize,
@@ -55,9 +51,6 @@ impl ArtifactStore {
             vfs: Arc::new(RealVfs),
             spill_disabled: Mutex::new(None),
             resident: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            disk_restores: AtomicUsize::new(0),
             corrupt_detected: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
             tmp_swept: AtomicUsize::new(0),
@@ -218,41 +211,6 @@ impl ArtifactStore {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Records one stage-level cache outcome in the hit/miss counters.
-    /// Disk hits count as hits *and* bump the disk-restore counter, so
-    /// telemetry can distinguish a warm-memory reuse from a
-    /// survived-restart reload.
-    pub fn record(&self, status: CacheStatus) {
-        match status {
-            CacheStatus::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheStatus::HitMemory => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheStatus::HitDisk => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.disk_restores.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-    }
-
-    /// Stage executions served from cache (memory or disk) so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Stage executions that had to compute their artifact.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// The subset of [`hits`](ArtifactStore::hits) that were reloaded
-    /// from the on-disk spill directory rather than warm memory.
-    pub fn disk_restores(&self) -> usize {
-        self.disk_restores.load(Ordering::Relaxed)
-    }
-
     /// Number of artifacts currently held in memory.
     pub fn len(&self) -> usize {
         self.mem
@@ -282,8 +240,6 @@ impl std::fmt::Debug for ArtifactStore {
             .field("disk", &self.disk)
             .field("spill_disabled", &self.spill_disabled_reason())
             .field("resident_bytes", &self.resident_bytes())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .field("corrupt_detected", &self.corrupt_detected())
             .field("quarantined", &self.quarantined())
             .finish()
@@ -305,17 +261,6 @@ mod tests {
         assert!(store.get::<u32>(fp).is_none(), "another type is a miss");
         assert_eq!(store.len(), 1);
         assert!(!store.is_empty());
-    }
-
-    #[test]
-    fn counters_track_outcomes() {
-        let store = ArtifactStore::new();
-        store.record(CacheStatus::Miss);
-        store.record(CacheStatus::HitMemory);
-        store.record(CacheStatus::HitDisk);
-        assert_eq!(store.misses(), 1);
-        assert_eq!(store.hits(), 2);
-        assert_eq!(store.disk_restores(), 1);
     }
 
     #[test]
@@ -385,7 +330,6 @@ mod tests {
         let store = ArtifactStore::with_disk("/tmp/x");
         let s = format!("{store:?}");
         assert!(s.contains("ArtifactStore"));
-        assert!(s.contains("hits"));
         assert!(s.contains("resident_bytes"));
     }
 }

@@ -30,7 +30,6 @@
 //! suite can exercise each failure mode deterministically.
 
 use crate::engine::Fingerprint;
-use crate::pipeline::ProcessedDataset;
 use crate::vfs::Vfs;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -307,46 +306,10 @@ pub fn load_json<T: serde::Deserialize>(
     }
 }
 
-/// Saves a processed dataset as an enveloped pretty-JSON entry.
-///
-/// # Errors
-///
-/// Propagates filesystem and serialization failures.
-pub fn save_dataset(
-    vfs: &dyn Vfs,
-    ds: &ProcessedDataset,
-    path: &Path,
-    stage: &str,
-    fp: Fingerprint,
-) -> Result<(), IoError> {
-    save_json(vfs, ds, path, stage, fp)
-}
-
-/// Loads and validates a processed dataset.
-///
-/// Runs the structural half of
-/// [`GeoDataset::validate`](crate::pipeline::GeoDataset::validate) (link sanity and
-/// coordinate ranges — deserialization bypasses `GeoPoint::new`, so bad
-/// coordinates are reachable here); the generating regions are not
-/// recorded in the file, so the region check is skipped. A dataset that
-/// deserializes but violates an invariant reports `Corrupt`.
-pub fn load_dataset(
-    vfs: &dyn Vfs,
-    path: &Path,
-    stage: &str,
-    fp: Fingerprint,
-) -> CacheRead<ProcessedDataset> {
-    load_json::<ProcessedDataset>(vfs, path, stage, fp).guard(|ds| {
-        ds.dataset
-            .validate(&[])
-            .map_err(|e| format!("dataset invariant violated: {e}"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Collector, GeoDataset, GeoNode, MapperKind};
+    use crate::pipeline::{Collector, GeoDataset, GeoNode, MapperKind, ProcessedDataset};
     use crate::vfs::RealVfs;
     use geotopo_bgp::AsId;
     use geotopo_geo::GeoPoint;
@@ -390,8 +353,9 @@ mod tests {
         let dir = fresh_dir("geotopo_io_test");
         let path = dataset_cache_path(&dir, &FP.to_string(), STAGE);
         let ds = sample();
-        save_dataset(&RealVfs, &ds, &path, STAGE, FP).unwrap();
-        let CacheRead::Hit(loaded) = load_dataset(&RealVfs, &path, STAGE, FP) else {
+        save_json(&RealVfs, &ds, &path, STAGE, FP).unwrap();
+        let CacheRead::Hit(loaded) = load_json::<ProcessedDataset>(&RealVfs, &path, STAGE, FP)
+        else {
             panic!("expected a hit");
         };
         assert_eq!(loaded.collector, Collector::Skitter);
@@ -418,7 +382,12 @@ mod tests {
     #[test]
     fn missing_file_is_a_cold_miss() {
         assert!(matches!(
-            load_dataset(&RealVfs, Path::new("/nonexistent/geotopo.json"), STAGE, FP),
+            load_json::<ProcessedDataset>(
+                &RealVfs,
+                Path::new("/nonexistent/geotopo.json"),
+                STAGE,
+                FP
+            ),
             CacheRead::Miss
         ));
     }
@@ -430,7 +399,8 @@ mod tests {
         let path = dir.join("old.json");
         // A PR-7-era cache entry: bare pretty JSON, no envelope.
         std::fs::write(&path, serde_json::to_string_pretty(&sample()).unwrap()).unwrap();
-        let CacheRead::Corrupt(reason) = load_dataset(&RealVfs, &path, STAGE, FP) else {
+        let CacheRead::Corrupt(reason) = load_json::<ProcessedDataset>(&RealVfs, &path, STAGE, FP)
+        else {
             panic!("raw JSON must be classified corrupt");
         };
         assert!(reason.contains("magic"), "{reason}");
@@ -508,23 +478,9 @@ mod tests {
         // A valid envelope whose payload is not a ProcessedDataset.
         save_envelope(&RealVfs, &path, STAGE, FP, b"{\"not\": \"a dataset\"}").unwrap();
         assert!(matches!(
-            load_dataset(&RealVfs, &path, STAGE, FP),
+            load_json::<ProcessedDataset>(&RealVfs, &path, STAGE, FP),
             CacheRead::Corrupt(_)
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn out_of_range_link_rejected_as_corrupt() {
-        let dir = fresh_dir("geotopo_io_invalid");
-        let path = dir.join("ds.json");
-        let mut ds = sample();
-        ds.dataset.links.push((0, 99));
-        save_dataset(&RealVfs, &ds, &path, STAGE, FP).unwrap();
-        let CacheRead::Corrupt(reason) = load_dataset(&RealVfs, &path, STAGE, FP) else {
-            panic!("invalid dataset must be corrupt");
-        };
-        assert!(reason.contains("invariant"), "{reason}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

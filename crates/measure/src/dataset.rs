@@ -1,14 +1,15 @@
 //! Measured-graph representation.
 //!
 //! Both collectors emit a [`MeasuredDataset`]: nodes identified by IP
-//! address and undirected links between node indices. Skitter's nodes
+//! address and undirected links between node indices, built through a
+//! [`DatasetBuilder`]. Skitter's nodes
 //! are interfaces ("we treat interfaces as virtual nodes, and define a
 //! link to mean a connection between two adjacent interfaces"); Mercator's
 //! nodes are routers (canonical IP plus resolved aliases).
 
 use geotopo_topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// A violated [`MeasuredDataset`] invariant, found by
@@ -30,11 +31,6 @@ pub enum MeasureInvariant {
     DuplicateOrUnordered {
         /// The offending link, as stored.
         link: (u32, u32),
-    },
-    /// The IP→node index disagrees with the node list.
-    IndexDesync {
-        /// Address whose index entry is wrong, stale, or missing.
-        ip: Ipv4Addr,
     },
     /// A node address (canonical or alias) does not exist as an interface
     /// in the topology the dataset was supposedly measured from.
@@ -58,9 +54,6 @@ impl std::fmt::Display for MeasureInvariant {
                 "link ({}, {}) is duplicated or not in canonical order",
                 link.0, link.1
             ),
-            MeasureInvariant::IndexDesync { ip } => {
-                write!(f, "ip index entry for {ip} disagrees with the node list")
-            }
             MeasureInvariant::UnknownAddress { ip } => {
                 write!(f, "node address {ip} is not an interface of the topology")
             }
@@ -97,7 +90,7 @@ pub struct MonitorRecord {
     pub router: u32,
     /// Dataset node index of the monitor's first observed interface,
     /// `None` if nothing it owns survived into the dataset. Kept in sync
-    /// by [`MeasuredDataset::remove_nodes`].
+    /// by [`MeasuredDataset::without_nodes`].
     pub node: Option<u32>,
     /// Probes this monitor launched.
     pub probes: u64,
@@ -189,72 +182,19 @@ impl AnomalyStats {
     }
 }
 
-/// An undirected measured graph.
+/// An undirected measured graph, as a collector hands it over. A
+/// [`DatasetBuilder`] makes one; afterwards it is only read.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MeasuredDataset {
     /// Node semantics.
     pub kind: NodeKind,
     nodes: Vec<MeasuredNode>,
     links: Vec<(u32, u32)>,
-    #[serde(skip)]
-    node_index: HashMap<Ipv4Addr, u32>,
-    #[serde(skip)]
-    link_set: std::collections::HashSet<(u32, u32)>,
     /// Anomalies encountered during collection.
     pub anomalies: AnomalyStats,
 }
 
 impl MeasuredDataset {
-    /// Creates an empty dataset.
-    pub fn new(kind: NodeKind) -> Self {
-        MeasuredDataset {
-            kind,
-            nodes: Vec::new(),
-            links: Vec::new(),
-            node_index: HashMap::new(),
-            link_set: std::collections::HashSet::new(),
-            anomalies: AnomalyStats::default(),
-        }
-    }
-
-    /// Interns a node by canonical IP, returning its index.
-    pub fn intern(&mut self, ip: Ipv4Addr) -> u32 {
-        if let Some(&i) = self.node_index.get(&ip) {
-            return i;
-        }
-        let i = self.nodes.len() as u32;
-        self.nodes.push(MeasuredNode {
-            ip,
-            aliases: Vec::new(),
-        });
-        self.node_index.insert(ip, i);
-        i
-    }
-
-    /// Registers an alias for a router-level node.
-    pub fn add_alias(&mut self, node: u32, alias: Ipv4Addr) {
-        let entry = &mut self.nodes[node as usize];
-        if !entry.aliases.contains(&alias) {
-            entry.aliases.push(alias);
-        }
-        self.node_index.insert(alias, node);
-    }
-
-    /// Records an observed adjacency between two nodes. Self-loops and
-    /// duplicates are counted as anomalies and dropped, as in the paper.
-    pub fn observe_link(&mut self, a: u32, b: u32) {
-        if a == b {
-            self.anomalies.self_loops += 1;
-            return;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if self.link_set.insert(key) {
-            self.links.push(key);
-        } else {
-            self.anomalies.duplicate_links += 1;
-        }
-    }
-
     /// Node count.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -265,9 +205,8 @@ impl MeasuredDataset {
         self.links.len()
     }
 
-    /// Approximate heap footprint in bytes: nodes, their alias lists,
-    /// links, and the rebuildable lookup indexes. Feeds the engine's
-    /// resident-artifact accounting.
+    /// Approximate heap footprint in bytes: nodes, their alias lists and
+    /// links. Feeds the engine's resident-artifact accounting.
     pub fn mem_bytes(&self) -> usize {
         use std::mem::size_of;
         let alias_bytes: usize = self
@@ -278,8 +217,6 @@ impl MeasuredDataset {
         self.nodes.len() * size_of::<MeasuredNode>()
             + alias_bytes
             + self.links.len() * size_of::<(u32, u32)>()
-            + self.node_index.len() * size_of::<(Ipv4Addr, u32)>()
-            + self.link_set.len() * size_of::<(u32, u32)>()
     }
 
     /// Nodes slice.
@@ -292,24 +229,16 @@ impl MeasuredDataset {
         &self.links
     }
 
-    /// Looks a node up by any of its addresses.
-    pub fn node_by_ip(&self, ip: Ipv4Addr) -> Option<u32> {
-        self.node_index.get(&ip).copied()
-    }
-
     /// Checks the dataset's internal invariants: every link references
     /// two distinct, in-range nodes and is stored exactly once in
-    /// canonical (low, high) order, and the IP→node index agrees with
-    /// the node list. (The index is rebuilt lazily after deserialization,
-    /// so an entirely empty index alongside a non-empty node list is
-    /// accepted; a *partially* wrong index is not.)
+    /// canonical (low, high) order.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), MeasureInvariant> {
         let n = self.nodes.len() as u32;
-        let mut seen = std::collections::HashSet::with_capacity(self.links.len());
+        let mut seen = HashSet::with_capacity(self.links.len());
         for &(a, b) in &self.links {
             if a >= n || b >= n {
                 return Err(MeasureInvariant::LinkOutOfRange { link: (a, b) });
@@ -319,22 +248,6 @@ impl MeasuredDataset {
             }
             if a > b || !seen.insert((a, b)) {
                 return Err(MeasureInvariant::DuplicateOrUnordered { link: (a, b) });
-            }
-        }
-        for (&ip, &idx) in &self.node_index {
-            let node = self
-                .nodes
-                .get(idx as usize)
-                .ok_or(MeasureInvariant::IndexDesync { ip })?;
-            if node.ip != ip && !node.aliases.contains(&ip) {
-                return Err(MeasureInvariant::IndexDesync { ip });
-            }
-        }
-        if !self.node_index.is_empty() {
-            for node in &self.nodes {
-                if !self.node_index.contains_key(&node.ip) {
-                    return Err(MeasureInvariant::IndexDesync { ip: node.ip });
-                }
             }
         }
         Ok(())
@@ -364,29 +277,27 @@ impl MeasuredDataset {
         Ok(())
     }
 
-    /// Removes the given node indices (e.g. destination-list interfaces),
-    /// dropping their incident links and compacting indices — including
-    /// the node indices held by `anomalies.monitors`, which would
-    /// otherwise dangle or silently point at the wrong node. Returns the
-    /// number of links removed.
-    pub fn remove_nodes(&mut self, remove: &std::collections::HashSet<u32>) -> usize {
+    /// The dataset without the given node indices (e.g. destination-list
+    /// interfaces): their incident links are dropped and the remaining
+    /// indices compacted — including the node indices held by
+    /// `anomalies.monitors`, which would otherwise dangle or silently
+    /// point at the wrong node.
+    #[must_use]
+    pub fn without_nodes(mut self, remove: &HashSet<u32>) -> Self {
         let mut remap: Vec<Option<u32>> = vec![None; self.nodes.len()];
-        let mut kept_nodes = Vec::with_capacity(self.nodes.len());
+        let mut kept = Vec::with_capacity(self.nodes.len());
         for (i, node) in self.nodes.drain(..).enumerate() {
             if !remove.contains(&(i as u32)) {
-                remap[i] = Some(kept_nodes.len() as u32);
-                kept_nodes.push(node);
+                remap[i] = Some(kept.len() as u32);
+                kept.push(node);
             }
         }
-        self.nodes = kept_nodes;
-        let before = self.links.len();
-        let mut kept_links = Vec::with_capacity(self.links.len());
-        for (a, b) in self.links.drain(..) {
-            if let (Some(na), Some(nb)) = (remap[a as usize], remap[b as usize]) {
-                kept_links.push((na, nb));
-            }
-        }
-        self.links = kept_links;
+        self.nodes = kept;
+        self.links = self
+            .links
+            .iter()
+            .filter_map(|&(a, b)| Some((remap[a as usize]?, remap[b as usize]?)))
+            .collect();
         // Monitor records reference nodes by index too; remap them the
         // same way (a removed monitor node becomes None, not a stale id).
         for m in &mut self.anomalies.monitors {
@@ -394,19 +305,84 @@ impl MeasuredDataset {
                 .node
                 .and_then(|n| remap.get(n as usize).copied().flatten());
         }
-        // Rebuild indices.
-        self.node_index.clear();
-        self.link_set.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            self.node_index.insert(node.ip, i as u32);
-            for &a in &node.aliases {
-                self.node_index.insert(a, i as u32);
-            }
+        self
+    }
+}
+
+/// A [`MeasuredDataset`] under construction: the dataset plus the IP
+/// index and link set that interning and link deduplication need.
+/// [`finish`](Self::finish) drops both, so no collector's output carries
+/// an index that a restore from disk would not.
+#[derive(Debug)]
+pub struct DatasetBuilder {
+    dataset: MeasuredDataset,
+    node_index: HashMap<Ipv4Addr, u32>,
+    link_set: HashSet<(u32, u32)>,
+}
+
+impl DatasetBuilder {
+    /// An empty dataset of node kind `kind`.
+    pub fn new(kind: NodeKind) -> Self {
+        DatasetBuilder {
+            dataset: MeasuredDataset {
+                kind,
+                nodes: Vec::new(),
+                links: Vec::new(),
+                anomalies: AnomalyStats::default(),
+            },
+            node_index: HashMap::new(),
+            link_set: HashSet::new(),
         }
-        for &(a, b) in &self.links {
-            self.link_set.insert((a, b));
+    }
+
+    /// Interns a node by canonical IP, returning its index.
+    pub fn intern(&mut self, ip: Ipv4Addr) -> u32 {
+        if let Some(&i) = self.node_index.get(&ip) {
+            return i;
         }
-        before - self.links.len()
+        let nodes = &mut self.dataset.nodes;
+        let i = nodes.len() as u32;
+        nodes.push(MeasuredNode {
+            ip,
+            aliases: Vec::new(),
+        });
+        self.node_index.insert(ip, i);
+        i
+    }
+
+    /// Registers an alias for a router-level node.
+    pub fn add_alias(&mut self, node: u32, alias: Ipv4Addr) {
+        let entry = &mut self.dataset.nodes[node as usize];
+        if !entry.aliases.contains(&alias) {
+            entry.aliases.push(alias);
+        }
+        self.node_index.insert(alias, node);
+    }
+
+    /// Records an observed adjacency between two nodes. Self-loops and
+    /// duplicates are counted as anomalies and dropped, as in the paper.
+    pub fn observe_link(&mut self, a: u32, b: u32) {
+        let anomalies = &mut self.dataset.anomalies;
+        if a == b {
+            anomalies.self_loops += 1;
+            return;
+        }
+        let key = if a < b { (a, b) } else { (b, a) };
+        if self.link_set.insert(key) {
+            self.dataset.links.push(key);
+        } else {
+            anomalies.duplicate_links += 1;
+        }
+    }
+
+    /// Looks a node up by any of its addresses.
+    pub fn node_by_ip(&self, ip: Ipv4Addr) -> Option<u32> {
+        self.node_index.get(&ip).copied()
+    }
+
+    /// The finished dataset; the IP index and link set are dropped.
+    pub fn finish(self) -> MeasuredDataset {
+        self.dataset
     }
 }
 
@@ -418,105 +394,92 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// An interface-level dataset over `ips`, with `links` observed in
+    /// order.
+    fn dataset(ips: &[&str], links: &[(u32, u32)]) -> MeasuredDataset {
+        let mut d = DatasetBuilder::new(NodeKind::Interface);
+        for s in ips {
+            d.intern(ip(s));
+        }
+        for &(a, b) in links {
+            d.observe_link(a, b);
+        }
+        d.finish()
+    }
+
     #[test]
     fn intern_is_idempotent() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
+        let mut d = DatasetBuilder::new(NodeKind::Interface);
         let a = d.intern(ip("1.1.1.1"));
         let b = d.intern(ip("1.1.1.1"));
         assert_eq!(a, b);
-        assert_eq!(d.num_nodes(), 1);
+        assert_eq!(d.finish().num_nodes(), 1);
     }
 
     #[test]
     fn self_loops_counted_and_dropped() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("1.1.1.1"));
-        d.observe_link(a, a);
+        let d = dataset(&["1.1.1.1"], &[(0, 0)]);
         assert_eq!(d.num_links(), 0);
         assert_eq!(d.anomalies.self_loops, 1);
     }
 
     #[test]
     fn duplicate_links_collapsed() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("1.1.1.1"));
-        let b = d.intern(ip("2.2.2.2"));
-        d.observe_link(a, b);
-        d.observe_link(b, a);
-        d.observe_link(a, b);
+        let d = dataset(&["1.1.1.1", "2.2.2.2"], &[(0, 1), (1, 0), (0, 1)]);
         assert_eq!(d.num_links(), 1);
         assert_eq!(d.anomalies.duplicate_links, 2);
     }
 
     #[test]
     fn alias_lookup() {
-        let mut d = MeasuredDataset::new(NodeKind::Router);
+        let mut d = DatasetBuilder::new(NodeKind::Router);
         let r = d.intern(ip("3.3.3.3"));
         d.add_alias(r, ip("3.3.3.3"));
         d.add_alias(r, ip("4.4.4.4"));
         assert_eq!(d.node_by_ip(ip("4.4.4.4")), Some(r));
-        assert_eq!(d.nodes()[r as usize].aliases.len(), 2);
+        assert_eq!(d.finish().nodes()[r as usize].aliases.len(), 2);
     }
 
     #[test]
-    fn remove_nodes_compacts_and_drops_links() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("1.0.0.1"));
-        let b = d.intern(ip("1.0.0.2"));
-        let c = d.intern(ip("1.0.0.3"));
-        d.observe_link(a, b);
-        d.observe_link(b, c);
-        d.observe_link(a, c);
-        let mut rm = std::collections::HashSet::new();
-        rm.insert(b);
-        let dropped = d.remove_nodes(&rm);
-        assert_eq!(dropped, 2);
+    fn without_nodes_compacts_and_drops_links() {
+        let d = dataset(
+            &["1.0.0.1", "1.0.0.2", "1.0.0.3"],
+            &[(0, 1), (1, 2), (0, 2)],
+        );
+        let d = d.without_nodes(&HashSet::from([1]));
         assert_eq!(d.num_nodes(), 2);
         assert_eq!(d.num_links(), 1);
-        assert!(d.node_by_ip(ip("1.0.0.2")).is_none());
+        let ips: Vec<_> = d.nodes().iter().map(|n| n.ip).collect();
+        assert_eq!(ips, [ip("1.0.0.1"), ip("1.0.0.3")]);
         // Remaining link connects the surviving nodes.
-        let (x, y) = d.links()[0];
-        let ips: Vec<_> = vec![d.nodes()[x as usize].ip, d.nodes()[y as usize].ip];
-        assert!(ips.contains(&ip("1.0.0.1")) && ips.contains(&ip("1.0.0.3")));
+        assert_eq!(d.links(), [(0, 1)]);
     }
 
     #[test]
-    fn remove_nodes_compacts_monitor_records() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("1.0.0.1"));
-        let b = d.intern(ip("1.0.0.2"));
-        let c = d.intern(ip("1.0.0.3"));
-        d.observe_link(a, b);
-        d.observe_link(b, c);
-        d.anomalies.monitors = vec![
-            MonitorRecord {
-                router: 10,
-                node: Some(a),
+    fn without_nodes_compacts_monitor_records() {
+        let mut d = dataset(&["1.0.0.1", "1.0.0.2", "1.0.0.3"], &[(0, 1), (1, 2)]);
+        d.anomalies.monitors = (0..3)
+            .map(|n| MonitorRecord {
+                router: 10 + n,
+                node: Some(n),
                 probes: 5,
                 skipped: 0,
-            },
-            MonitorRecord {
-                router: 11,
-                node: Some(b),
-                probes: 5,
-                skipped: 0,
-            },
-            MonitorRecord {
-                router: 12,
-                node: Some(c),
-                probes: 5,
-                skipped: 0,
-            },
-        ];
-        let mut rm = std::collections::HashSet::new();
-        rm.insert(b);
-        d.remove_nodes(&rm);
+            })
+            .collect();
+        let d = d.without_nodes(&HashSet::from([1]));
         // Monitor at the removed node loses its reference; the monitor
         // past it is remapped to the compacted index, not left dangling.
         assert_eq!(d.anomalies.monitors[0].node, Some(0));
         assert_eq!(d.anomalies.monitors[1].node, None);
         let c_new = d.anomalies.monitors[2].node.unwrap();
         assert_eq!(d.nodes()[c_new as usize].ip, ip("1.0.0.3"));
+    }
+
+    #[test]
+    fn without_nothing_is_noop() {
+        let d = dataset(&["1.0.0.1", "1.0.0.2"], &[(0, 1)]).without_nodes(&HashSet::new());
+        assert_eq!(d.num_nodes(), 2);
+        assert_eq!(d.num_links(), 1);
     }
 
     #[test]
@@ -563,22 +526,20 @@ mod tests {
 
     #[test]
     fn validate_accepts_collected_dataset() {
-        let mut d = MeasuredDataset::new(NodeKind::Router);
+        let mut d = DatasetBuilder::new(NodeKind::Router);
         let a = d.intern(ip("10.0.0.1"));
         let b = d.intern(ip("10.0.0.2"));
         d.add_alias(a, ip("10.0.0.1"));
         d.observe_link(a, b);
         d.observe_link(b, a); // duplicate: collapsed, stays valid
+        let d = d.finish();
         assert_eq!(d.validate(), Ok(()));
         assert_eq!(d.validate_against(&tiny_topology()), Ok(()));
     }
 
     #[test]
     fn validate_rejects_corrupt_links() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("10.0.0.1"));
-        let b = d.intern(ip("10.0.0.2"));
-        d.observe_link(a, b);
+        let d = dataset(&["10.0.0.1", "10.0.0.2"], &[(0, 1)]);
         // Out-of-range endpoint.
         let mut bad = d.clone();
         bad.links.push((0, 9));
@@ -601,10 +562,8 @@ mod tests {
             Err(MeasureInvariant::DuplicateOrUnordered { link: (0, 1) })
         );
         // Endpoints out of canonical order.
-        let mut bad = MeasuredDataset::new(NodeKind::Interface);
-        bad.intern(ip("10.0.0.1"));
-        bad.intern(ip("10.0.0.2"));
-        bad.links.push((1, 0));
+        let mut bad = d;
+        bad.links = vec![(1, 0)];
         assert_eq!(
             bad.validate(),
             Err(MeasureInvariant::DuplicateOrUnordered { link: (1, 0) })
@@ -612,38 +571,10 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_index_desync() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        d.intern(ip("10.0.0.1"));
-        d.intern(ip("10.0.0.2"));
-        // Stale entry pointing at the wrong node.
-        let mut bad = d.clone();
-        bad.node_index.insert(ip("10.0.0.1"), 1);
-        assert_eq!(
-            bad.validate(),
-            Err(MeasureInvariant::IndexDesync { ip: ip("10.0.0.1") })
-        );
-        // A node missing from a non-empty index.
-        let mut bad = d.clone();
-        bad.node_index.remove(&ip("10.0.0.2"));
-        assert_eq!(
-            bad.validate(),
-            Err(MeasureInvariant::IndexDesync { ip: ip("10.0.0.2") })
-        );
-        // An entirely empty index models the post-deserialization state
-        // and is fine.
-        let mut fresh = d.clone();
-        fresh.node_index.clear();
-        assert_eq!(fresh.validate(), Ok(()));
-    }
-
-    #[test]
     fn validate_against_rejects_fabricated_addresses() {
         let topo = tiny_topology();
         // A node whose canonical IP the world never assigned.
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        d.intern(ip("10.0.0.1"));
-        d.intern(ip("172.16.0.9"));
+        let d = dataset(&["10.0.0.1", "172.16.0.9"], &[]);
         assert_eq!(
             d.validate_against(&topo),
             Err(MeasureInvariant::UnknownAddress {
@@ -651,26 +582,14 @@ mod tests {
             })
         );
         // A fabricated alias on an otherwise real router.
-        let mut d = MeasuredDataset::new(NodeKind::Router);
+        let mut d = DatasetBuilder::new(NodeKind::Router);
         let a = d.intern(ip("10.0.0.1"));
         d.add_alias(a, ip("172.16.0.9"));
         assert_eq!(
-            d.validate_against(&topo),
+            d.finish().validate_against(&topo),
             Err(MeasureInvariant::UnknownAddress {
                 ip: ip("172.16.0.9")
             })
         );
-    }
-
-    #[test]
-    fn remove_nothing_is_noop() {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
-        let a = d.intern(ip("1.0.0.1"));
-        let b = d.intern(ip("1.0.0.2"));
-        d.observe_link(a, b);
-        let dropped = d.remove_nodes(&std::collections::HashSet::new());
-        assert_eq!(dropped, 0);
-        assert_eq!(d.num_nodes(), 2);
-        assert_eq!(d.num_links(), 1);
     }
 }

@@ -20,9 +20,15 @@
 //! - [`routing`]: policy-aware shortest paths (interdomain hops cost
 //!   extra, modelling BGP path inflation).
 //! - [`probe`]: TTL-style forward-path tracing that records the
-//!   *incoming interface* of each responding hop.
-//! - [`skitter`] / [`mercator`]: the two collectors.
-//! - [`dataset`]: the measured-graph representation both emit.
+//!   *incoming interface* of each responding hop, one walk under a fault
+//!   session, and the destination list both collectors trace to.
+//! - [`skitter`] / [`mercator`]: the two collectors, one entry point
+//!   each ([`Skitter::collect_with_faults_exec`],
+//!   [`Mercator::collect_with_faults`]); a fault-free run passes
+//!   [`FaultConfig::none`].
+//! - [`dataset`]: the measured-graph representation both emit, built
+//!   through a [`dataset::DatasetBuilder`] whose IP index and link set are
+//!   dropped before the collector returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

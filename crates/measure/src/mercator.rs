@@ -18,11 +18,11 @@
 //!   for one router, so the router count overestimates slightly — and
 //!   alias-induced self-loops are discarded as anomalies.
 
-use crate::dataset::{MeasuredDataset, NodeKind};
+use crate::dataset::{DatasetBuilder, MeasuredDataset, NodeKind};
 use crate::faults::{FaultConfig, FaultPlan, FaultSession};
-use crate::probe::{TraceBuf, TracerouteSim};
+use crate::probe::{sample_destinations, TraceBuf, TracerouteSim};
 use crate::routing::{RoutingOracle, RoutingScratch};
-use geotopo_bgp::trie::PrefixTrie;
+use geotopo_stats::SerialExec;
 use geotopo_topology::generate::GroundTruth;
 use geotopo_topology::RouterId;
 use rand::rngs::StdRng;
@@ -91,15 +91,11 @@ pub struct MercatorOutput {
 pub struct Mercator;
 
 impl Mercator {
-    /// Runs a fault-free collection over the ground-truth world.
-    pub fn collect(gt: &GroundTruth, cfg: &MercatorConfig) -> MercatorOutput {
-        Self::collect_with_faults(gt, cfg, &FaultConfig::none())
-    }
-
-    /// Runs a collection under an injected fault plan. Monitor outages
-    /// apply to the *lateral* vantages (the operator notices and restarts
-    /// their own primary host); all probe-level faults apply everywhere.
-    /// An inert plan is byte-identical to [`collect`](Self::collect).
+    /// Runs a collection under the fault plan `faults` (a fault-free run
+    /// passes [`FaultConfig::none`]). Monitor outages apply to the
+    /// *lateral* vantages (the operator notices and restarts their own
+    /// primary host); all probe-level faults apply everywhere. Fault
+    /// decisions never touch the collection RNG stream.
     pub fn collect_with_faults(
         gt: &GroundTruth,
         cfg: &MercatorConfig,
@@ -107,13 +103,6 @@ impl Mercator {
     ) -> MercatorOutput {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let t = &gt.topology;
-
-        let mut truth = PrefixTrie::new();
-        for alloc in &gt.allocations {
-            for &p in &alloc.prefixes {
-                truth.insert(p, alloc.asn);
-            }
-        }
 
         // Primary source: a well-connected router (Mercator ran from a
         // single university host behind a big provider).
@@ -125,23 +114,8 @@ impl Mercator {
 
         // Heuristic destination space: addresses inside allocations,
         // weighted by capacity.
-        let alloc_weights: Vec<f64> = gt.allocations.iter().map(|a| a.capacity() as f64).collect();
-        let alloc_pick =
-            geotopo_stats::AliasTable::new(&alloc_weights).expect("non-empty allocations"); // lint: allow(unwrap): generated worlds always allocate prefixes
-        let mut destinations: Vec<Ipv4Addr> = Vec::with_capacity(cfg.destinations);
-        let mut seen_dst: HashSet<Ipv4Addr> = HashSet::new();
-        let mut guard = 0usize;
-        while destinations.len() < cfg.destinations && guard < cfg.destinations * 10 {
-            guard += 1;
-            let alloc = &gt.allocations[alloc_pick.sample(&mut rng)];
-            let prefix = alloc.prefixes[rng.random_range(0..alloc.prefixes.len())];
-            let Some(ip) = prefix.nth(rng.random_range(0..prefix.size())) else {
-                continue;
-            };
-            if seen_dst.insert(ip) {
-                destinations.push(ip);
-            }
-        }
+        let (destinations, attach) =
+            sample_destinations(gt, cfg.destinations, &mut rng, &SerialExec);
 
         let sim = TracerouteSim::new(t, cfg.response_prob, &mut rng);
 
@@ -159,26 +133,15 @@ impl Mercator {
         let mut session = FaultSession::new(&plan);
 
         // Raw interface-level adjacency observations.
-        let mut raw = MeasuredDataset::new(NodeKind::Interface);
+        let mut raw = DatasetBuilder::new(NodeKind::Interface);
         let mut seen_routers: HashSet<u32> = HashSet::new();
         let trace_into = |oracle: &RoutingOracle,
-                          dst_ip: Ipv4Addr,
-                          raw: &mut MeasuredDataset,
+                          dst: RouterId,
+                          raw: &mut DatasetBuilder,
                           seen_routers: &mut HashSet<u32>,
                           session: &mut FaultSession<'_>,
                           buf: &mut TraceBuf| {
-            let asn = match truth.lookup(dst_ip) {
-                Some((asn, _)) => *asn,
-                None => return,
-            };
-            // Packed AS ranges replace the old per-run HashMap build;
-            // member order (ascending router id) is unchanged.
-            let members = t.routers_of_as(asn);
-            if members.is_empty() {
-                return;
-            }
-            let attach = members[(u32::from(dst_ip) as usize) % members.len()];
-            let Some(hops) = sim.trace_with_faults_into(oracle, attach, session, buf) else {
+            let Some(hops) = sim.trace_with_faults_into(oracle, dst, session, buf) else {
                 return;
             };
             let mut prev: Option<u32> = None;
@@ -203,7 +166,7 @@ impl Mercator {
         let mut scratch = RoutingScratch::new();
         let mut buf = TraceBuf::new();
         let primary = scratch.oracle(t, source);
-        for &dst in &destinations {
+        for &dst in attach.iter().flatten() {
             trace_into(
                 primary,
                 dst,
@@ -227,7 +190,7 @@ impl Mercator {
                 // repeated lateral pick) costs a map lookup, not a
                 // Dijkstra run.
                 let oracle = scratch.oracle(t, vantage);
-                for &dst in &destinations {
+                for &dst in &attach {
                     // The coverage draw stays unconditional so the RNG
                     // stream is identical with and without faults.
                     if rng.random::<f64>() < cfg.lateral_coverage {
@@ -235,6 +198,7 @@ impl Mercator {
                             session.stats.outage_skips += 1;
                             continue;
                         }
+                        let Some(dst) = dst else { continue };
                         trace_into(
                             oracle,
                             dst,
@@ -247,6 +211,7 @@ impl Mercator {
                 }
             }
         }
+        let raw = raw.finish();
 
         // Alias resolution: collapse interfaces of a router into one node
         // when the UDP-probe technique succeeds for that router.
@@ -277,29 +242,30 @@ impl Mercator {
             }
         }
 
-        let mut dataset = MeasuredDataset::new(NodeKind::Router);
-        let mut merged: HashMap<Ipv4Addr, u32> = HashMap::new();
+        let mut routers = DatasetBuilder::new(NodeKind::Router);
         let mut raw_to_new: Vec<u32> = Vec::with_capacity(raw.num_nodes());
-        for (i, node) in raw.nodes().iter().enumerate() {
-            let canon = node_target[i];
-            let new = *merged.entry(canon).or_insert_with(|| dataset.intern(canon));
-            dataset.add_alias(new, node.ip);
+        for (node, &canon) in raw.nodes().iter().zip(&node_target) {
+            let new = routers.intern(canon);
+            routers.add_alias(new, node.ip);
             raw_to_new.push(new);
         }
+        let mut alias_self_loops = 0;
         for &(a, b) in raw.links() {
             let (na, nb) = (raw_to_new[a as usize], raw_to_new[b as usize]);
             if na == nb {
                 // Both raw endpoints collapsed onto one router: an
                 // alias-resolution artifact, reported distinctly from
                 // probing self-loops.
-                dataset.anomalies.alias_self_loops += 1;
+                alias_self_loops += 1;
                 continue;
             }
-            dataset.observe_link(na, nb);
+            routers.observe_link(na, nb);
         }
         // One struct reports every anomaly of the collection: fold the
         // raw sweep's discards and the fault session's pathology
         // counters into the final dataset's stats.
+        let mut dataset = routers.finish();
+        dataset.anomalies.alias_self_loops = alias_self_loops;
         dataset.anomalies.self_loops += raw.anomalies.self_loops;
         dataset.anomalies.duplicate_links += raw.anomalies.duplicate_links;
         dataset.anomalies.faults.absorb(&session.stats);
@@ -324,6 +290,11 @@ mod tests {
         GroundTruth::generate(GroundTruthConfig::tiny(99)).unwrap()
     }
 
+    /// A fault-free collection.
+    fn collect(gt: &GroundTruth, cfg: &MercatorConfig) -> MercatorOutput {
+        Mercator::collect_with_faults(gt, cfg, &FaultConfig::none())
+    }
+
     fn cfg(seed: u64) -> MercatorConfig {
         MercatorConfig {
             destinations: 800,
@@ -338,16 +309,18 @@ mod tests {
     #[test]
     fn collects_router_level_dataset() {
         let gt = world();
-        let out = Mercator::collect(&gt, &cfg(1));
+        let out = collect(&gt, &cfg(1));
         assert_eq!(out.dataset.kind, NodeKind::Router);
         assert!(out.dataset.num_nodes() > 50);
         assert!(out.dataset.num_links() > 50);
+        // An inert plan counts no fault.
+        assert!(out.dataset.anomalies.faults.is_zero());
     }
 
     #[test]
     fn alias_resolution_shrinks_the_node_set() {
         let gt = world();
-        let out = Mercator::collect(&gt, &cfg(2));
+        let out = collect(&gt, &cfg(2));
         assert!(
             out.dataset.num_nodes() < out.raw_interfaces,
             "{} !< {}",
@@ -361,7 +334,7 @@ mod tests {
         let gt = world();
         let mut c = cfg(3);
         c.alias_success = 1.0;
-        let out = Mercator::collect(&gt, &c);
+        let out = collect(&gt, &c);
         // With perfect resolution every node is a distinct true router.
         assert!(out.dataset.num_nodes() <= gt.topology.num_routers());
         let mut routers = HashSet::new();
@@ -378,8 +351,8 @@ mod tests {
         perfect.alias_success = 1.0;
         let mut broken = cfg(4);
         broken.alias_success = 0.0;
-        let p = Mercator::collect(&gt, &perfect);
-        let b = Mercator::collect(&gt, &broken);
+        let p = collect(&gt, &perfect);
+        let b = collect(&gt, &broken);
         assert!(b.dataset.num_nodes() > p.dataset.num_nodes());
         // With no aliasing the node count equals raw interfaces.
         assert_eq!(b.dataset.num_nodes(), b.raw_interfaces);
@@ -393,8 +366,8 @@ mod tests {
         let mut with_lateral = cfg(5);
         with_lateral.lateral_sources = 8;
         with_lateral.lateral_coverage = 0.5;
-        let a = Mercator::collect(&gt, &no_lateral);
-        let b = Mercator::collect(&gt, &with_lateral);
+        let a = collect(&gt, &no_lateral);
+        let b = collect(&gt, &with_lateral);
         assert!(
             b.dataset.num_links() > a.dataset.num_links(),
             "{} !> {}",
@@ -406,8 +379,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let gt = world();
-        let a = Mercator::collect(&gt, &cfg(6));
-        let b = Mercator::collect(&gt, &cfg(6));
+        let a = collect(&gt, &cfg(6));
+        let b = collect(&gt, &cfg(6));
         assert_eq!(a.dataset.num_nodes(), b.dataset.num_nodes());
         assert_eq!(a.dataset.num_links(), b.dataset.num_links());
     }
@@ -438,7 +411,7 @@ mod tests {
         let gt = world();
         let mut c = cfg(10);
         c.lateral_sources = 12;
-        let out = Mercator::collect(&gt, &c);
+        let out = collect(&gt, &c);
         let r = &out.routing;
         // The primary plus each lateral pick calls into the scratch
         // exactly once: every call is either a fresh solve or a memo hit.
@@ -451,22 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn inert_fault_plan_is_byte_identical_to_plain_collect() {
-        let gt = world();
-        let plain = Mercator::collect(&gt, &cfg(8));
-        let inert = Mercator::collect_with_faults(&gt, &cfg(8), &FaultConfig::none());
-        assert_eq!(
-            serde_json::to_string(&plain.dataset).unwrap(),
-            serde_json::to_string(&inert.dataset).unwrap()
-        );
-        assert!(plain.dataset.anomalies.faults.is_zero());
-    }
-
-    #[test]
     fn faults_thin_but_never_corrupt() {
         let gt = world();
         let out = Mercator::collect_with_faults(&gt, &cfg(9), &FaultConfig::at_severity(0.7, 31));
-        let clean = Mercator::collect(&gt, &cfg(9));
+        let clean = collect(&gt, &cfg(9));
         assert!(!out.dataset.anomalies.faults.is_zero());
         assert!(out.dataset.num_links() < clean.dataset.num_links());
         assert!(out.dataset.validate_against(&gt.topology).is_ok());

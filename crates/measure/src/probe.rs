@@ -7,11 +7,19 @@
 //!
 //! Routers that do not respond (rate-limiting, ICMP disabled) leave gaps;
 //! a gap breaks the adjacent-interface chain so no false link spans it.
+//! Both collectors trace to destination lists drawn here by one sampler.
 
 use crate::faults::{FaultSession, ProbeFate};
 use crate::routing::RoutingOracle;
+use crate::skitter::DEST_CHUNK;
+use geotopo_bgp::trie::PrefixTrie;
+use geotopo_stats::ChunkExec;
+use geotopo_topology::generate::GroundTruth;
 use geotopo_topology::{InterfaceId, RouterId, Topology};
+use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashSet;
+use std::net::Ipv4Addr;
 
 /// A traced hop: the responding router and the interface it reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,66 +75,18 @@ impl<'a> TracerouteSim<'a> {
     }
 
     /// Traces from the oracle's source to `dst`, returning the hop list
-    /// *after* the source (the source itself emits, it does not report).
-    /// Returns `None` if the destination is unreachable.
-    pub fn trace(&self, oracle: &RoutingOracle, dst: RouterId) -> Option<Vec<Hop>> {
-        let mut buf = TraceBuf::new();
-        self.trace_into(oracle, dst, &mut buf).map(<[Hop]>::to_vec)
-    }
-
-    /// Allocation-free [`trace`](Self::trace): walks the route into
-    /// `buf`'s reusable vectors and returns a borrowed hop slice.
-    // analyze: hot-path-root
-    pub fn trace_into<'b>(
-        &self,
-        oracle: &RoutingOracle,
-        dst: RouterId,
-        buf: &'b mut TraceBuf,
-    ) -> Option<&'b [Hop]> {
-        let TraceBuf { path, hops } = buf;
-        if !oracle.path_into(dst, path) {
-            return None;
-        }
-        hops.clear();
-        for &cur in path.iter().skip(1) {
-            let interface = if self.responsive[cur.0 as usize] {
-                // The ICMP source address is the interface the probe
-                // arrived on: the one the route tree recorded for `cur`.
-                oracle.incoming_interface(cur)
-            } else {
-                None
-            };
-            hops.push(Hop {
-                router: cur,
-                interface,
-            });
-        }
-        Some(hops)
-    }
-
-    /// Like [`trace`](Self::trace), but every probe runs through the
-    /// fault `session` in virtual time, with bounded retry-with-backoff
-    /// when a probe is swallowed by loss, rate-limiting, or a flap.
+    /// *after* the source (the source itself emits, it does not report),
+    /// or `None` if the destination is unreachable. The route walk and
+    /// hop list reuse `buf`'s vectors and the result borrows from them.
     ///
-    /// Routers that are silent by disposition (the per-router coin) stay
-    /// silent — retransmitting cannot help, and a real prober cannot tell
-    /// the difference anyway, so the channel fate is decided first and
-    /// the responsiveness coin only gates what an answered probe reports.
-    /// Under an inert session this reproduces `trace` byte-for-byte.
-    pub fn trace_with_faults(
-        &self,
-        oracle: &RoutingOracle,
-        dst: RouterId,
-        session: &mut FaultSession<'_>,
-    ) -> Option<Vec<Hop>> {
-        let mut buf = TraceBuf::new();
-        self.trace_with_faults_into(oracle, dst, session, &mut buf)
-            .map(<[Hop]>::to_vec)
-    }
-
-    /// Allocation-free [`trace_with_faults`](Self::trace_with_faults):
-    /// same fault semantics, but the route walk and hop list reuse
-    /// `buf`'s vectors and the result borrows from them.
+    /// Every probe runs through the fault `session` in virtual time, with
+    /// bounded retry-with-backoff when a probe is swallowed by loss,
+    /// rate-limiting, or a flap; under an inert session every probe is
+    /// answered. Routers that are silent by disposition (the per-router
+    /// coin) stay silent — retransmitting cannot help, and a real prober
+    /// cannot tell the difference anyway, so the channel fate is decided
+    /// first and the responsiveness coin only gates what an answered
+    /// probe reports.
     // analyze: hot-path-root
     pub fn trace_with_faults_into<'b>(
         &self,
@@ -187,53 +147,69 @@ impl<'a> TracerouteSim<'a> {
     }
 }
 
-#[cfg(test)]
-mod trace_buf_tests {
-    use super::*;
-    use geotopo_bgp::AsId;
-    use geotopo_geo::GeoPoint;
-    use geotopo_topology::TopologyBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn trace_into_reuses_buffers_and_matches_trace() {
-        let mut b = TopologyBuilder::new();
-        let r: Vec<_> = (0..6)
-            .map(|i| b.add_router(GeoPoint::new(10.0 + i as f64 * 0.1, 10.0).unwrap(), AsId(1)))
-            .collect();
-        for w in r.windows(2) {
-            b.add_link_auto(w[0], w[1]).unwrap();
+/// The destination list both collectors trace to: up to `n` distinct
+/// end-host addresses spread over the allocated space, weighted by
+/// allocation capacity and drawn from `rng` (at most `10 n` draws; "the
+/// destination lists are created with the aim to cover all blocks of
+/// 256 addresses"). Each comes with its access router: a deterministic
+/// member of the AS owning the address, `None` for unallocated space or
+/// an AS without routers. Access routers take no randomness; they are
+/// resolved in jobs of [`DEST_CHUNK`] destinations (at least one job)
+/// dispatched through `exec`.
+pub(crate) fn sample_destinations(
+    gt: &GroundTruth,
+    n: usize,
+    rng: &mut StdRng,
+    exec: &impl ChunkExec,
+) -> (Vec<Ipv4Addr>, Vec<Option<RouterId>>) {
+    // Ground-truth address ownership (who a destination belongs to).
+    let mut truth = PrefixTrie::new();
+    for alloc in &gt.allocations {
+        for &p in &alloc.prefixes {
+            truth.insert(p, alloc.asn);
         }
-        let t = b.build();
-        let mut rng = StdRng::seed_from_u64(11);
-        let sim = TracerouteSim::new(&t, 0.7, &mut rng);
-        let oracle = RoutingOracle::new(&t, r[0]);
-        let mut buf = TraceBuf::new();
-        for &dst in &r[1..] {
-            let owned = sim.trace(&oracle, dst).unwrap();
-            let borrowed = sim.trace_into(&oracle, dst, &mut buf).unwrap();
-            assert_eq!(owned.as_slice(), borrowed);
-            // A hop reports an interface iff its router answers probes.
-            for h in &owned {
-                assert_eq!(h.interface.is_some(), sim.is_responsive(h.router));
-            }
-        }
-        // After the longest trace the buffers never shrink: a short
-        // trace must reuse the capacity, not reallocate.
-        let cap = (buf.path.capacity(), buf.hops.capacity());
-        assert!(sim.trace_into(&oracle, r[1], &mut buf).is_some());
-        assert_eq!((buf.path.capacity(), buf.hops.capacity()), cap);
     }
+    let weights: Vec<f64> = gt.allocations.iter().map(|a| a.capacity() as f64).collect();
+    let pick = geotopo_stats::AliasTable::new(&weights).expect("non-empty allocations"); // lint: allow(unwrap): generated worlds always allocate prefixes
+    let mut ips: Vec<Ipv4Addr> = Vec::with_capacity(n);
+    let mut seen: HashSet<Ipv4Addr> = HashSet::new();
+    let mut guard = 0usize;
+    while ips.len() < n && guard < n * 10 {
+        guard += 1;
+        let alloc = &gt.allocations[pick.sample(rng)];
+        let prefix = alloc.prefixes[rng.random_range(0..alloc.prefixes.len())];
+        let Some(ip) = prefix.nth(rng.random_range(0..prefix.size())) else {
+            continue;
+        };
+        if seen.insert(ip) {
+            ips.push(ip);
+        }
+    }
+    // Per-AS membership comes straight off the topology's packed AS
+    // ranges (ascending router ids).
+    let t = &gt.topology;
+    let attach = exec
+        .dispatch(ips.len().div_ceil(DEST_CHUNK).max(1), &|c| {
+            let chunk = &ips[c * DEST_CHUNK..((c + 1) * DEST_CHUNK).min(ips.len())];
+            chunk
+                .iter()
+                .map(|&ip| {
+                    let members = t.routers_of_as(*truth.lookup(ip)?.0);
+                    (!members.is_empty()).then(|| members[(u32::from(ip) as usize) % members.len()])
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat();
+    (ips, attach)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultConfig, FaultPlan};
     use geotopo_bgp::AsId;
     use geotopo_geo::GeoPoint;
     use geotopo_topology::TopologyBuilder;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn line_topology(n: usize) -> (geotopo_topology::Topology, Vec<RouterId>) {
@@ -247,13 +223,51 @@ mod tests {
         (b.build(), r)
     }
 
+    /// Traces under an inert fault plan, which must count no fault.
+    fn trace(sim: &TracerouteSim<'_>, oracle: &RoutingOracle, dst: RouterId) -> Option<Vec<Hop>> {
+        let plan = FaultPlan::compile(&FaultConfig::none(), sim.topology.num_routers(), 1, 100);
+        let mut session = FaultSession::new(&plan);
+        let hops = sim
+            .trace_with_faults_into(oracle, dst, &mut session, &mut TraceBuf::new())
+            .map(<[Hop]>::to_vec);
+        assert!(session.stats.is_zero());
+        hops
+    }
+
+    #[test]
+    fn trace_reuses_buffers() {
+        let (t, r) = line_topology(6);
+        let mut rng = StdRng::seed_from_u64(11);
+        let sim = TracerouteSim::new(&t, 0.7, &mut rng);
+        let oracle = RoutingOracle::new(&t, r[0]);
+        let plan = FaultPlan::compile(&FaultConfig::none(), t.num_routers(), 1, 100);
+        let mut session = FaultSession::new(&plan);
+        let mut buf = TraceBuf::new();
+        for &dst in &r[1..] {
+            let hops = sim
+                .trace_with_faults_into(&oracle, dst, &mut session, &mut buf)
+                .unwrap();
+            // A hop reports an interface iff its router answers probes.
+            for h in hops {
+                assert_eq!(h.interface.is_some(), sim.is_responsive(h.router));
+            }
+        }
+        // After the longest trace the buffers never shrink: a short
+        // trace must reuse the capacity, not reallocate.
+        let cap = (buf.path.capacity(), buf.hops.capacity());
+        assert!(sim
+            .trace_with_faults_into(&oracle, r[1], &mut session, &mut buf)
+            .is_some());
+        assert_eq!((buf.path.capacity(), buf.hops.capacity()), cap);
+    }
+
     #[test]
     fn trace_reports_incoming_interfaces() {
         let (t, r) = line_topology(4);
         let mut rng = StdRng::seed_from_u64(1);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let hops = sim.trace(&oracle, r[3]).unwrap();
+        let hops = trace(&sim, &oracle, r[3]).unwrap();
         assert_eq!(hops.len(), 3);
         for (i, hop) in hops.iter().enumerate() {
             assert_eq!(hop.router, r[i + 1]);
@@ -271,7 +285,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let sim = TracerouteSim::new(&t, 0.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let hops = sim.trace(&oracle, r[4]).unwrap();
+        let hops = trace(&sim, &oracle, r[4]).unwrap();
         assert_eq!(hops.len(), 4);
         assert!(hops.iter().all(|h| h.interface.is_none()));
     }
@@ -285,7 +299,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, a);
-        assert!(sim.trace(&oracle, z).is_none());
+        assert!(trace(&sim, &oracle, z).is_none());
     }
 
     #[test]
@@ -294,31 +308,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sim = TracerouteSim::new(&t, 0.5, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        let h1 = sim.trace(&oracle, r[9]).unwrap();
-        let h2 = sim.trace(&oracle, r[9]).unwrap();
+        let h1 = trace(&sim, &oracle, r[9]).unwrap();
+        let h2 = trace(&sim, &oracle, r[9]).unwrap();
         assert_eq!(h1, h2);
     }
 
     #[test]
-    fn inert_faults_reproduce_plain_trace() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let (t, r) = line_topology(8);
-        let mut rng = StdRng::seed_from_u64(6);
-        let sim = TracerouteSim::new(&t, 0.6, &mut rng);
-        let oracle = RoutingOracle::new(&t, r[0]);
-        let plan = FaultPlan::compile(&FaultConfig::none(), t.num_routers(), 1, 100);
-        let mut session = FaultSession::new(&plan);
-        for dst in &r[1..] {
-            let plain = sim.trace(&oracle, *dst);
-            let faulty = sim.trace_with_faults(&oracle, *dst, &mut session);
-            assert_eq!(plain, faulty);
-        }
-        assert!(session.stats.is_zero());
-    }
-
-    #[test]
     fn retries_recover_lost_answers() {
-        use crate::faults::{FaultConfig, FaultPlan};
         let (t, r) = line_topology(6);
         let mut rng = StdRng::seed_from_u64(7);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
@@ -329,10 +325,13 @@ mod tests {
         cfg.seed = 17;
         let plan = FaultPlan::compile(&cfg, t.num_routers(), 1, 10_000);
         let mut session = FaultSession::new(&plan);
+        let mut buf = TraceBuf::new();
         let mut answered = 0usize;
         let mut total = 0usize;
         for _ in 0..200 {
-            let hops = sim.trace_with_faults(&oracle, r[5], &mut session).unwrap();
+            let hops = sim
+                .trace_with_faults_into(&oracle, r[5], &mut session, &mut buf)
+                .unwrap();
             total += hops.len();
             answered += hops.iter().filter(|h| h.interface.is_some()).count();
         }
@@ -352,6 +351,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sim = TracerouteSim::new(&t, 1.0, &mut rng);
         let oracle = RoutingOracle::new(&t, r[0]);
-        assert_eq!(sim.trace(&oracle, r[0]).unwrap().len(), 0);
+        assert_eq!(trace(&sim, &oracle, r[0]).unwrap().len(), 0);
     }
 }

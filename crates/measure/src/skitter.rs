@@ -14,12 +14,11 @@
 //!   further discarded all interfaces appearing in the destination lists";
 //! - self-loops and duplicate observations are discarded as anomalies.
 
-use crate::dataset::{MeasuredDataset, MonitorRecord, NodeKind};
+use crate::dataset::{DatasetBuilder, MeasuredDataset, MonitorRecord, NodeKind};
 use crate::faults::{FaultConfig, FaultPlan, FaultSession, FaultStats};
-use crate::probe::{TraceBuf, TracerouteSim};
+use crate::probe::{sample_destinations, TraceBuf, TracerouteSim};
 use crate::routing::{RoutingOracle, RoutingScratch, RoutingStats};
-use geotopo_bgp::trie::PrefixTrie;
-use geotopo_stats::{ChunkExec, SerialExec};
+use geotopo_stats::ChunkExec;
 use geotopo_topology::generate::GroundTruth;
 use geotopo_topology::{InterfaceId, RouterId};
 use rand::rngs::StdRng;
@@ -157,6 +156,8 @@ struct ChunkTally {
 struct Counters {
     records: Vec<MonitorRecord>,
     faults: FaultStats,
+    /// Link sightings the trace chunks did not replay (all duplicates).
+    repeat_links: u64,
     probes_sent: u64,
     virtual_ticks: u64,
     routing: RoutingStats,
@@ -187,7 +188,6 @@ const UNVISITED: u32 = u32::MAX;
 struct Campaign<'a> {
     gt: &'a GroundTruth,
     destinations: Vec<Ipv4Addr>,
-    dest_set: HashSet<Ipv4Addr>,
     monitors: Vec<RouterId>,
     sim: TracerouteSim<'a>,
     /// Coverage coins, monitor-major: `coverage[m * destinations + d]`.
@@ -214,35 +214,7 @@ impl<'a> Campaign<'a> {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let t = &gt.topology;
-
-        // Ground-truth address ownership (who a destination belongs to).
-        let mut truth = PrefixTrie::new();
-        for alloc in &gt.allocations {
-            for &p in &alloc.prefixes {
-                truth.insert(p, alloc.asn);
-            }
-        }
-
-        // Destination list: end-host addresses spread over the allocated
-        // space ("the destination lists are created with the aim to cover
-        // all blocks of 256 addresses ... destinations selected by several
-        // methods").
-        let alloc_weights: Vec<f64> = gt.allocations.iter().map(|a| a.capacity() as f64).collect();
-        let alloc_pick =
-            geotopo_stats::AliasTable::new(&alloc_weights).expect("non-empty allocations"); // lint: allow(unwrap): generated worlds always allocate prefixes
-        let mut destinations: Vec<Ipv4Addr> = Vec::with_capacity(cfg.destinations);
-        let mut dest_set: HashSet<Ipv4Addr> = HashSet::new();
-        let mut guard = 0usize;
-        while destinations.len() < cfg.destinations && guard < cfg.destinations * 10 {
-            guard += 1;
-            let alloc = &gt.allocations[alloc_pick.sample(&mut rng)];
-            let prefix = alloc.prefixes[rng.random_range(0..alloc.prefixes.len())];
-            let off = rng.random_range(0..prefix.size());
-            let Some(ip) = prefix.nth(off) else { continue };
-            if dest_set.insert(ip) {
-                destinations.push(ip);
-            }
-        }
+        let (destinations, attach) = sample_destinations(gt, cfg.destinations, &mut rng, exec);
 
         // Monitors: distinct routers, preferring distinct regions first.
         let monitors = pick_monitors(gt, cfg.n_monitors, &mut rng);
@@ -267,37 +239,11 @@ impl<'a> Campaign<'a> {
         // its hash-derived fate stream depends only on its own probes.
         let slice_len = (expected_probes / monitors.len().max(1) as u64).max(1);
 
-        // Attachment routers resolved once per destination (the old
-        // per-monitor loop re-resolved each destination from the trie
-        // for every monitor covering it): a deterministic member of the
-        // destination's AS (the access router serving it). Per-AS
-        // membership comes straight off the topology's packed AS ranges
-        // (ascending router ids). Pure function of the world, so the
-        // chunked fan-out is trivially byte-identical.
         let n_dest_chunks = destinations.len().div_ceil(DEST_CHUNK).max(1);
-        let attach: Vec<Option<RouterId>> = exec
-            .dispatch(n_dest_chunks, &|c| {
-                let lo = c * DEST_CHUNK;
-                let hi = ((c + 1) * DEST_CHUNK).min(destinations.len());
-                destinations[lo..hi]
-                    .iter()
-                    .map(|&dst_ip| {
-                        let (asn, _) = truth.lookup(dst_ip)?;
-                        let members = t.routers_of_as(*asn);
-                        if members.is_empty() {
-                            return None;
-                        }
-                        Some(members[(u32::from(dst_ip) as usize) % members.len()])
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .concat();
-
         Campaign {
             gt,
             chunk_ticks: (slice_len / n_dest_chunks as u64).max(1),
             destinations,
-            dest_set,
             monitors,
             sim,
             coverage,
@@ -322,6 +268,7 @@ impl<'a> Campaign<'a> {
                 })
                 .collect(),
             faults: FaultStats::default(),
+            repeat_links: 0,
             probes_sent: 0,
             virtual_ticks: 0,
             routing: RoutingStats::default(),
@@ -509,12 +456,19 @@ impl<'a> Campaign<'a> {
     /// The serial epilogue: anchors each monitor record at its router's
     /// lowest-indexed interface in the dataset, then discards the
     /// destination-list end hosts.
-    fn finish(self, mut dataset: MeasuredDataset, counters: Counters) -> SkitterOutput {
+    fn finish(self, dataset: DatasetBuilder, counters: Counters) -> SkitterOutput {
         let t = &self.gt.topology;
+        // The destination-list end hosts, discarded below.
+        let remove: HashSet<u32> = self
+            .destinations
+            .iter()
+            .filter_map(|&ip| dataset.node_by_ip(ip))
+            .collect();
+        let mut dataset = dataset.finish();
         let mut records = counters.records;
         // Anchor each monitor record at the lowest-indexed interface of
         // its router present in the dataset (before destination
-        // discarding — remove_nodes remaps or clears the reference).
+        // discarding — without_nodes remaps or clears the reference).
         let mut first_node_of_router: HashMap<u32, u32> = HashMap::new();
         for (i, node) in dataset.nodes().iter().enumerate() {
             if let Some(iface) = t.interface_by_ip(node.ip) {
@@ -527,19 +481,14 @@ impl<'a> Campaign<'a> {
             record.node = first_node_of_router.get(&record.router).copied();
         }
         let failed_monitors = records.iter().filter(|r| r.failed()).count();
+        dataset.anomalies.duplicate_links += counters.repeat_links;
         dataset.anomalies.faults.absorb(&counters.faults);
         dataset.anomalies.monitors = records;
 
         // Discard destination-list interfaces (end hosts).
         let raw_nodes = dataset.num_nodes();
-        let mut remove: HashSet<u32> = HashSet::new();
-        for ip in &self.dest_set {
-            if let Some(n) = dataset.node_by_ip(*ip) {
-                remove.insert(n);
-            }
-        }
         let discarded_destinations = remove.len();
-        dataset.remove_nodes(&remove);
+        let dataset = dataset.without_nodes(&remove);
 
         SkitterOutput {
             dataset,
@@ -559,33 +508,20 @@ impl<'a> Campaign<'a> {
 pub struct Skitter;
 
 impl Skitter {
-    /// Runs a fault-free collection over the ground-truth world.
-    pub fn collect(gt: &GroundTruth, cfg: &SkitterConfig) -> SkitterOutput {
-        Self::collect_with_faults(gt, cfg, &FaultConfig::none())
-    }
-
-    /// Runs a collection under an injected fault plan, executing every
-    /// trace chunk serially. With an inert plan this is byte-identical
-    /// to [`collect`](Self::collect): fault decisions are hash-derived
-    /// in virtual probe-tick time and never touch the collection RNG
-    /// stream.
-    pub fn collect_with_faults(
-        gt: &GroundTruth,
-        cfg: &SkitterConfig,
-        faults: &FaultConfig,
-    ) -> SkitterOutput {
-        Self::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
-    }
-
-    /// Runs a collection with its interior jobs dispatched through
-    /// `exec` — the engine passes its deterministic scoped-thread
-    /// scheduler here. Parallelism is two-layered: one routing oracle
-    /// per monitor, then one trace job per (monitor, [`DEST_CHUNK`]
-    /// destinations) pair, so a 19-monitor campaign exposes far more
-    /// than 19 units of work. The output is byte-identical for any
-    /// conforming [`ChunkExec`] because all RNG draws happen up front
-    /// in the serial prologue, each trace chunk owns a fixed slice of
-    /// the virtual fault clock, and results merge in job-index order.
+    /// Runs a collection under the fault plan `faults` (a fault-free
+    /// run passes [`FaultConfig::none`]), with its interior jobs
+    /// dispatched through `exec`: the engine passes its deterministic
+    /// scoped-thread scheduler, a serial caller
+    /// [`SerialExec`](geotopo_stats::SerialExec). Fault decisions are
+    /// hash-derived in virtual probe-tick time and never touch the
+    /// collection RNG stream. Parallelism is two-layered: one routing
+    /// oracle per monitor, then one trace job per (monitor,
+    /// [`DEST_CHUNK`] destinations) pair, so a 19-monitor campaign
+    /// exposes far more than 19 units of work. The output is
+    /// byte-identical for any conforming [`ChunkExec`] because all RNG
+    /// draws happen up front in the serial prologue, each trace chunk
+    /// owns a fixed slice of the virtual fault clock, and results merge
+    /// in job-index order.
     ///
     /// Under an inert plan each monitor's routes form one route tree,
     /// and a trace chunk emits only the hops no earlier destination of
@@ -639,8 +575,8 @@ impl Skitter {
         // (never derived from the thread count), so node interning —
         // and with it every downstream byte — is schedule-independent.
         // Interfaces and end hosts intern through vec-indexed caches;
-        // only first sightings touch the dataset's by-IP hash map.
-        let mut dataset = MeasuredDataset::new(NodeKind::Interface);
+        // only first sightings touch the builder's by-IP hash map.
+        let mut dataset = DatasetBuilder::new(NodeKind::Interface);
         let mut iface_node: Vec<u32> = vec![u32::MAX; t.num_interfaces()];
         let mut host_node: Vec<u32> = vec![u32::MAX; campaign.destinations.len()];
         let mut wave_base = 0usize;
@@ -675,7 +611,7 @@ impl Skitter {
                     }
                     prev = Some(node);
                 }
-                dataset.anomalies.duplicate_links += chunk.repeat_links;
+                counters.repeat_links += chunk.repeat_links;
                 let record = &mut counters.records[j / n_dest_chunks];
                 record.probes += chunk.probes;
                 record.skipped += chunk.skipped;
@@ -710,7 +646,7 @@ fn end_trace(replay: &mut Vec<ReplayEvent>, chained: bool, d: usize) {
 /// the first sighting. An address keeps its node once interned, so the
 /// cache answers exactly what the by-IP map would.
 fn intern_cached(
-    dataset: &mut MeasuredDataset,
+    dataset: &mut DatasetBuilder,
     slot: &mut u32,
     ip: impl FnOnce() -> Ipv4Addr,
 ) -> u32 {
@@ -748,10 +684,16 @@ fn pick_monitors(gt: &GroundTruth, n: usize, rng: &mut StdRng) -> Vec<RouterId> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geotopo_stats::SerialExec;
     use geotopo_topology::generate::GroundTruthConfig;
 
     fn world() -> GroundTruth {
         GroundTruth::generate(GroundTruthConfig::tiny(77)).unwrap()
+    }
+
+    /// A serial collection under `faults`.
+    fn collect(gt: &GroundTruth, cfg: &SkitterConfig, faults: &FaultConfig) -> SkitterOutput {
+        Skitter::collect_with_faults_exec(gt, cfg, faults, &SerialExec)
     }
 
     #[test]
@@ -764,7 +706,7 @@ mod tests {
             response_prob: 0.97,
             seed: 1,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         assert_eq!(out.dataset.kind, NodeKind::Interface);
         assert!(
             out.dataset.num_nodes() > 100,
@@ -777,6 +719,9 @@ mod tests {
             out.dataset.num_links()
         );
         assert_eq!(out.monitors.len(), 5);
+        // An inert plan counts no fault.
+        assert!(out.dataset.anomalies.faults.is_zero());
+        assert_eq!(out.failed_monitors, 0);
     }
 
     #[test]
@@ -789,7 +734,7 @@ mod tests {
             response_prob: 1.0,
             seed: 2,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         assert!(out.discarded_destinations > 0);
         assert_eq!(
             out.dataset.num_nodes(),
@@ -810,7 +755,7 @@ mod tests {
             response_prob: 1.0,
             seed: 3,
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = collect(&gt, &cfg, &FaultConfig::none());
         for node in out.dataset.nodes() {
             assert!(
                 gt.topology.interface_by_ip(node.ip).is_some(),
@@ -830,10 +775,10 @@ mod tests {
             response_prob: 1.0,
             seed: 4,
         };
-        let few = Skitter::collect(&gt, &base);
+        let few = collect(&gt, &base, &FaultConfig::none());
         let mut more_cfg = base.clone();
         more_cfg.n_monitors = 7;
-        let more = Skitter::collect(&gt, &more_cfg);
+        let more = collect(&gt, &more_cfg, &FaultConfig::none());
         assert!(more.dataset.num_links() > few.dataset.num_links());
     }
 
@@ -847,30 +792,10 @@ mod tests {
             response_prob: 0.95,
             seed: 5,
         };
-        let a = Skitter::collect(&gt, &cfg);
-        let b = Skitter::collect(&gt, &cfg);
+        let a = collect(&gt, &cfg, &FaultConfig::none());
+        let b = collect(&gt, &cfg, &FaultConfig::none());
         assert_eq!(a.dataset.num_nodes(), b.dataset.num_nodes());
         assert_eq!(a.dataset.num_links(), b.dataset.num_links());
-    }
-
-    #[test]
-    fn inert_fault_plan_is_byte_identical_to_plain_collect() {
-        let gt = world();
-        let cfg = SkitterConfig {
-            n_monitors: 4,
-            destinations: 300,
-            monitor_coverage: 0.85,
-            response_prob: 0.95,
-            seed: 6,
-        };
-        let plain = Skitter::collect(&gt, &cfg);
-        let inert = Skitter::collect_with_faults(&gt, &cfg, &FaultConfig::none());
-        assert_eq!(
-            serde_json::to_string(&plain.dataset).unwrap(),
-            serde_json::to_string(&inert.dataset).unwrap()
-        );
-        assert!(plain.dataset.anomalies.faults.is_zero());
-        assert_eq!(plain.failed_monitors, 0);
     }
 
     #[test]
@@ -883,7 +808,7 @@ mod tests {
             response_prob: 0.97,
             seed: 7,
         };
-        let out = Skitter::collect_with_faults(&gt, &cfg, &FaultConfig::at_severity(0.6, 21));
+        let out = collect(&gt, &cfg, &FaultConfig::at_severity(0.6, 21));
         let f = &out.dataset.anomalies.faults;
         assert!(f.probes_lost > 0, "packet loss never fired");
         assert!(f.retries > 0, "no retries issued");
@@ -892,7 +817,7 @@ mod tests {
         // Pathologies distort the dataset (loss thins it, churn adds
         // same-router artifacts) but never corrupt it.
         assert!(out.dataset.validate_against(&gt.topology).is_ok());
-        let clean = Skitter::collect(&gt, &cfg);
+        let clean = collect(&gt, &cfg, &FaultConfig::none());
         assert_ne!(
             serde_json::to_string(&out.dataset).unwrap(),
             serde_json::to_string(&clean.dataset).unwrap(),
@@ -915,7 +840,7 @@ mod tests {
             seed: 12,
         };
         for faults in [FaultConfig::none(), FaultConfig::at_severity(0.6, 9)] {
-            let serial = Skitter::collect_with_faults(&gt, &cfg, &faults);
+            let serial = collect(&gt, &cfg, &faults);
             let shuffled = Skitter::collect_with_faults_exec(&gt, &cfg, &faults, &ReversedExec);
             assert_eq!(
                 serde_json::to_string(&serial).unwrap(),
@@ -935,7 +860,7 @@ mod tests {
     ) -> SkitterOutput {
         let campaign = Campaign::plan(gt, cfg, faults, &SerialExec);
         let t = &gt.topology;
-        let mut dataset = MeasuredDataset::new(NodeKind::Interface);
+        let mut dataset = DatasetBuilder::new(NodeKind::Interface);
         let mut counters = campaign.counters();
         let mut buf = TraceBuf::new();
         for (m, &monitor) in campaign.monitors.iter().enumerate() {
@@ -1062,11 +987,11 @@ mod tests {
         let mut faults = FaultConfig::none();
         faults.outage_fraction = 1.0;
         faults.seed = 5;
-        let a = Skitter::collect_with_faults(&gt, &cfg, &faults);
+        let a = collect(&gt, &cfg, &faults);
         assert!(a.failed_monitors > 0, "no monitor failed under outage 1.0");
         assert!(a.dataset.anomalies.faults.outage_skips > 0);
         assert!(a.active_monitors() < a.monitors.len());
-        let b = Skitter::collect_with_faults(&gt, &cfg, &faults);
+        let b = collect(&gt, &cfg, &faults);
         assert_eq!(a.failed_monitors, b.failed_monitors);
         assert_eq!(
             serde_json::to_string(&a.dataset).unwrap(),

@@ -6,7 +6,7 @@
 
 use geotopo_bgp::{AsId, Relationship};
 use geotopo_geo::GeoPoint;
-use geotopo_measure::dataset::{MeasuredDataset, NodeKind};
+use geotopo_measure::dataset::{DatasetBuilder, NodeKind};
 use geotopo_measure::policy::{infer_relations, PolicyOracle};
 use geotopo_measure::routing::RoutingOracle;
 use geotopo_topology::{RouterId, Topology, TopologyBuilder};
@@ -238,11 +238,12 @@ proptest! {
         ips in prop::collection::vec(any::<u32>(), 2..40),
         pairs in prop::collection::vec((0usize..40, 0usize..40), 0..80),
     ) {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
+        let mut d = DatasetBuilder::new(NodeKind::Interface);
         let nodes: Vec<u32> = ips.iter().map(|&b| d.intern(Ipv4Addr::from(b))).collect();
         for (a, b) in pairs {
             d.observe_link(nodes[a % nodes.len()], nodes[b % nodes.len()]);
         }
+        let d = d.finish();
         let n = d.num_nodes() as u32;
         for &(a, b) in d.links() {
             prop_assert!(a < n && b < n);
@@ -254,16 +255,17 @@ proptest! {
     }
 
     #[test]
-    fn remove_nodes_preserves_remaining_structure(
+    fn without_nodes_preserves_remaining_structure(
         ips in prop::collection::vec(any::<u32>(), 3..30),
         pairs in prop::collection::vec((0usize..30, 0usize..30), 0..60),
         victim in 0usize..30,
     ) {
-        let mut d = MeasuredDataset::new(NodeKind::Interface);
+        let mut d = DatasetBuilder::new(NodeKind::Interface);
         let nodes: Vec<u32> = ips.iter().map(|&b| d.intern(Ipv4Addr::from(b))).collect();
         for (a, b) in pairs {
             d.observe_link(nodes[a % nodes.len()], nodes[b % nodes.len()]);
         }
+        let d = d.finish();
         let before_nodes = d.num_nodes();
         let surviving_ips: Vec<Ipv4Addr> = d
             .nodes()
@@ -272,15 +274,11 @@ proptest! {
             .filter(|(i, _)| *i != victim % before_nodes)
             .map(|(_, n)| n.ip)
             .collect();
-        let mut rm = std::collections::HashSet::new();
-        rm.insert((victim % before_nodes) as u32);
-        d.remove_nodes(&rm);
-        prop_assert_eq!(d.num_nodes(), before_nodes - 1);
-        // Every surviving IP still resolves, to a valid index.
-        for ip in surviving_ips {
-            let idx = d.node_by_ip(ip).expect("survivor resolvable");
-            prop_assert_eq!(d.nodes()[idx as usize].ip, ip);
-        }
+        let rm = std::collections::HashSet::from([(victim % before_nodes) as u32]);
+        let d = d.without_nodes(&rm);
+        // Every surviving node keeps its place in the order.
+        let kept: Vec<Ipv4Addr> = d.nodes().iter().map(|n| n.ip).collect();
+        prop_assert_eq!(kept, surviving_ips);
         let n = d.num_nodes() as u32;
         for &(a, b) in d.links() {
             prop_assert!(a < n && b < n && a != b);

@@ -257,47 +257,24 @@ pub struct GroundTruth {
 impl GroundTruth {
     /// Generates the world. Deterministic in `config.seed`.
     ///
+    /// Each region's raster is reduced to its (small) point sampler and
+    /// dropped before the next is built, so peak memory holds at most
+    /// one raster.
+    ///
     /// # Errors
     ///
     /// Fails on out-of-range configuration or (at absurd scales)
     /// address-space exhaustion.
     pub fn generate(config: GroundTruthConfig) -> Result<Self, GroundTruthError> {
-        Self::generate_exec(config, &SerialExec)
-    }
-
-    /// [`GroundTruth::generate`] with an explicit chunk executor for the
-    /// interior fan-out. Byte-identical to the serial path at any
-    /// parallelism: each region's raster seeds its own RNG and consumes
-    /// none of the world RNG stream, and chunk results merge in index
-    /// order.
-    ///
-    /// Each region job reduces its raster to the (small) point sampler
-    /// and drops it before returning, so peak memory holds at most one
-    /// raster per in-flight chunk — the serial streaming path's
-    /// bounded-RSS property, relaxed only by the executor's width.
-    ///
-    /// # Errors
-    ///
-    /// As [`GroundTruth::generate`].
-    // analyze: allow(dead-pub): exec-seam twin of `generate` for callers
-    // without pre-built grids; the engine path enters via
-    // `generate_with_grids_exec` instead
-    pub fn generate_exec(
-        config: GroundTruthConfig,
-        exec: &impl ChunkExec,
-    ) -> Result<Self, GroundTruthError> {
         validate(&config)?;
-        // 1. Population grids per region, one independent chunk job per
-        // region, merged in region-index order.
-        let samplers: Vec<PointSampler> = exec
-            .dispatch(config.regions.len(), &|i| {
+        let samplers: Vec<PointSampler> = (0..config.regions.len())
+            .map(|i| {
                 let grid = config.population_grid(i)?;
                 grid.point_sampler(config.regions[i].alpha)
                     .map_err(|e| GroundTruthError::Population(e.to_string()))
             })
-            .into_iter()
             .collect::<Result<_, _>>()?;
-        Self::generate_with_samplers(config, samplers, exec)
+        Self::generate_with_samplers(config, samplers, &SerialExec)
     }
 
     /// Generates the world from pre-built per-region population grids

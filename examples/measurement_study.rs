@@ -9,7 +9,8 @@
 //! interface-vs-router counting, forward-path tree bias, destination-list
 //! discards, lateral discovery, and alias-resolution failure.
 
-use geotopo::measure::{Mercator, MercatorConfig, Skitter, SkitterConfig};
+use geotopo::measure::{FaultConfig, Mercator, MercatorConfig, Skitter, SkitterConfig};
+use geotopo::stats::SerialExec;
 use geotopo::topology::generate::{GroundTruth, GroundTruthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Skitter: multi-monitor interface-level collection.
     let sk_cfg = SkitterConfig::scaled(&gt, seed ^ 0x51);
-    let sk = Skitter::collect(&gt, &sk_cfg);
+    let none = FaultConfig::none();
+    let sk = Skitter::collect_with_faults_exec(&gt, &sk_cfg, &none, &SerialExec);
     println!(
         "Skitter ({} monitors, {} destinations):",
         sk_cfg.n_monitors, sk_cfg.destinations
@@ -61,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             n_monitors,
             ..sk_cfg.clone()
         };
-        let out = Skitter::collect(&gt, &cfg);
+        let out = Skitter::collect_with_faults_exec(&gt, &cfg, &none, &SerialExec);
         println!(
             "    {:>2} monitors -> {:>7} interfaces, {:>7} links",
             n_monitors,
@@ -72,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Mercator: single-source router-level collection.
     let me_cfg = MercatorConfig::scaled(&gt, seed ^ 0x3E);
-    let me = Mercator::collect(&gt, &me_cfg);
+    let me = Mercator::collect_with_faults(&gt, &me_cfg, &none);
     println!(
         "\nMercator (single source + {} lateral vantages):",
         me_cfg.lateral_sources
@@ -96,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             alias_success,
             ..me_cfg.clone()
         };
-        let out = Mercator::collect(&gt, &cfg);
+        let out = Mercator::collect_with_faults(&gt, &cfg, &none);
         println!(
             "    p = {:>4.2} -> {:>7} nodes from {:>7} raw interfaces",
             alias_success,
