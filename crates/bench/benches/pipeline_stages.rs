@@ -8,11 +8,11 @@
 //!     [--check BASELINE] [--min-speedup X] [--tolerance X]
 //! ```
 //!
-//! Unlike the Criterion benches this is a plain harness: the engine
-//! already measures each stage (its `StageReport`s), so the bench only
-//! has to run the pipeline at the requested thread counts, aggregate
-//! the reports, and persist a JSON baseline (default
-//! `target/pipeline_stages.json`) for regression comparison.
+//! A plain harness: the engine already measures each stage (its
+//! `StageReport`s), so the bench only has to run the pipeline at the
+//! requested thread counts, aggregate the reports, and persist a JSON
+//! baseline (default `target/pipeline_stages.json`) for regression
+//! comparison.
 //!
 //! `--scale` picks the world size (tiny|small|default|large|paper;
 //! default `small`). The JSON file holds one entry per scale under

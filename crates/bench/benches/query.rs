@@ -9,7 +9,7 @@
 //! ```
 //!
 //! A plain harness like `pipeline_stages`: the pipeline is built once
-//! per scale (untimed), its frozen [`geotopo_query::QuerySnapshot`] is
+//! per scale (untimed), its frozen `geotopo_query::QuerySnapshot` is
 //! then served a hitlist — the world's interfaces cycled to `--hitlist`
 //! addresses — through the engine's `parallel_map` executor, and the
 //! best-of-`--iters` wall time becomes the recorded lookups/s. Entries

@@ -1,31 +1,5 @@
-//! Shared fixtures for the geotopo benchmark harness.
-//!
-//! Criterion benches share one lazily-built tiny pipeline output so that
-//! per-analysis benches measure the analysis, not world generation.
-
-use geotopo_core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
-use std::sync::OnceLock;
-
-/// The shared tiny pipeline output (seed 2002).
-pub fn tiny_output() -> &'static PipelineOutput {
-    static OUT: OnceLock<PipelineOutput> = OnceLock::new();
-    OUT.get_or_init(|| {
-        Pipeline::new(PipelineConfig::tiny(2002))
-            .run()
-            .expect("tiny pipeline runs")
-    })
-}
-
-/// A shared small pipeline output for heavier benches (seed 2002).
-// analyze: allow(dead-pub): heavier companion to tiny_output, kept public for ad-hoc bench experiments
-pub fn small_output() -> &'static PipelineOutput {
-    static OUT: OnceLock<PipelineOutput> = OnceLock::new();
-    OUT.get_or_init(|| {
-        Pipeline::new(PipelineConfig::small(2002))
-            .run()
-            .expect("small pipeline runs")
-    })
-}
+//! Code shared by the geotopo perf-gate benches (`pipeline_stages` and
+//! `query`): when a thread-scaling gate can be enforced.
 
 /// Why a bench's thread-scaling gate cannot be enforced on this run.
 ///
@@ -104,11 +78,6 @@ pub fn scaling_gate_skip(
 #[cfg(test)]
 mod tests {
     use super::{scaling_gate_skip, ScalingGateSkip};
-
-    #[test]
-    fn fixtures_build() {
-        assert!(super::tiny_output().datasets.len() == 4);
-    }
 
     #[test]
     fn scaling_gate_enforced_on_comparable_hosts() {

@@ -19,12 +19,10 @@
 
 pub mod alloc;
 pub mod prefix;
-pub mod relations;
 pub mod table;
 pub mod trie;
 
 pub use alloc::PrefixAllocator;
 pub use prefix::{AsId, Ipv4Prefix, PrefixError};
-pub use relations::{AsRelations, Relationship};
 pub use table::{RouteTable, RouteTableConfig};
 pub use trie::{PrefixTrie, TrieInvariant};

@@ -114,8 +114,7 @@ impl<T> CacheRead<T> {
 
 /// The envelope's schema version. Bumping it invalidates (quarantines +
 /// regenerates) every existing cache entry exactly once.
-// analyze: allow(dead-pub): durability-contract version, read by the chaos suite (outside the source use-graph)
-pub const ENVELOPE_SCHEMA: u32 = 1;
+const ENVELOPE_SCHEMA: u32 = 1;
 
 const MAGIC_LINE: &[u8] = b"GTENV1\n";
 
@@ -314,6 +313,7 @@ mod tests {
     use geotopo_bgp::AsId;
     use geotopo_geo::GeoPoint;
     use geotopo_measure::NodeKind;
+    use proptest::prelude::*;
 
     const FP: Fingerprint = Fingerprint(0xBEEF);
     const STAGE: &str = "map-ixmapper-skitter";
@@ -498,5 +498,104 @@ mod tests {
     fn temp_path_appends_suffix() {
         let p = temp_path(Path::new("/cache/abc-stage.json"));
         assert_eq!(p, Path::new("/cache/abc-stage.json.tmp"));
+    }
+
+    /// A one-file in-memory filesystem: every path names the same bytes,
+    /// so the decode properties below run without disk I/O.
+    #[derive(Debug, Default)]
+    struct OneFile(std::sync::Mutex<Vec<u8>>);
+
+    impl Vfs for OneFile {
+        fn read(&self, _: &Path) -> std::io::Result<Vec<u8>> {
+            Ok(self.0.lock().unwrap().clone())
+        }
+        fn write(&self, _: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            *self.0.lock().unwrap() = bytes.to_vec();
+            Ok(())
+        }
+        fn rename(&self, _: &Path, _: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn remove_file(&self, _: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn create_dir_all(&self, _: &Path) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn list_dir(&self, _: &Path) -> std::io::Result<Vec<PathBuf>> {
+            Ok(Vec::new())
+        }
+    }
+
+    fn load(bytes: &[u8]) -> CacheRead<Vec<u8>> {
+        let vfs = OneFile(std::sync::Mutex::new(bytes.to_vec()));
+        load_envelope(&vfs, Path::new("e"), STAGE, FP)
+    }
+
+    /// A JSON document that reaches every parser production: nesting,
+    /// numbers, literals, each escape (a surrogate pair included) and
+    /// multi-byte UTF-8. Its characters are the alphabet of the random
+    /// texts below too.
+    const JSON_SAMPLE: &str =
+        r#"{"a": [1, -2.5e3, true, false, null], "s": "\"\\\/\b\f\n\r\t\u00e9\ud83c\udf0d é🌍"}"#;
+
+    fn parse_json(text: &str) -> Result<serde_json::Value, serde_json::Error> {
+        serde_json::from_str(text)
+    }
+
+    #[test]
+    fn json_parser_returns_on_every_cut_and_change_of_a_document() {
+        assert!(parse_json(JSON_SAMPLE).is_ok());
+        let chars: Vec<char> = JSON_SAMPLE.chars().collect();
+        for at in 0..chars.len() {
+            let _ = parse_json(&chars[..at].iter().collect::<String>());
+            for &c in &chars {
+                let mut changed = chars.clone();
+                changed[at] = c;
+                let _ = parse_json(&changed.iter().collect::<String>());
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_are_corrupt_never_a_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            magic in any::<bool>(),
+        ) {
+            // With the magic in front, the header parser and every later
+            // check see the arbitrary bytes too.
+            let file = if magic { [MAGIC_LINE, &bytes].concat() } else { bytes };
+            prop_assert!(matches!(load(&file), CacheRead::Corrupt(_)));
+        }
+
+        #[test]
+        fn every_truncation_and_byte_change_of_an_envelope_is_corrupt(
+            payload in prop::collection::vec(any::<u8>(), 0..64),
+            mask in 1u8..=255,
+        ) {
+            let vfs = OneFile::default();
+            save_envelope(&vfs, Path::new("e"), STAGE, FP, &payload).unwrap();
+            let file = vfs.read(Path::new("e")).unwrap();
+            prop_assert!(matches!(load(&file), CacheRead::Hit(p) if p == payload));
+            for len in 0..file.len() {
+                prop_assert!(matches!(load(&file[..len]), CacheRead::Corrupt(_)), "cut at {}", len);
+            }
+            for at in 0..file.len() {
+                let mut changed = file.clone();
+                changed[at] ^= mask;
+                prop_assert!(matches!(load(&changed), CacheRead::Corrupt(_)), "byte {} changed", at);
+            }
+        }
+
+        #[test]
+        fn json_parser_returns_on_any_text(
+            picks in prop::collection::vec(0..JSON_SAMPLE.chars().count(), 0..48),
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let alphabet: Vec<char> = JSON_SAMPLE.chars().collect();
+            let _ = parse_json(&picks.iter().map(|&i| alphabet[i]).collect::<String>());
+            let _ = parse_json(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

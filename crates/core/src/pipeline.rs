@@ -599,13 +599,11 @@ pub struct ProcessTelemetry {
 /// ([`process_chunked`]). A constant — never derived from the thread
 /// count — so chunk boundaries, per-chunk tallies, and the merged
 /// output are byte-identical no matter how many workers run the chunks.
-// analyze: allow(dead-pub): part of the documented interior-parallelism contract (DESIGN.md); root-package tests exercise chunk boundaries through it
-pub const NODE_CHUNK: usize = 2048;
+const NODE_CHUNK: usize = 2048;
 
 /// Fixed router-chunk size for [`NearestHints::compute`]. Same
 /// contract as [`NODE_CHUNK`]: thread-count-independent boundaries.
-// analyze: allow(dead-pub): part of the documented interior-parallelism contract (DESIGN.md)
-pub const ROUTER_HINT_CHUNK: usize = 4096;
+const ROUTER_HINT_CHUNK: usize = 4096;
 
 /// Frozen per-router nearest-city results: the gazetteer memo the map
 /// stages and the query-snapshot freeze share.
@@ -698,7 +696,7 @@ struct NodeChunk {
 }
 
 /// The map-stage interior: shards `measured.nodes()` into fixed
-/// [`NODE_CHUNK`]-node chunks, maps each chunk independently (per-chunk
+/// `NODE_CHUNK`-node chunks, maps each chunk independently (per-chunk
 /// scratch, no shared mutable state), and merges nodes and tallies in
 /// chunk index order, then compacts serially. Byte-identical to the
 /// serial fold at any thread count; `hints` (the per-router gazetteer

@@ -36,14 +36,12 @@
 pub mod dataset;
 pub mod faults;
 pub mod mercator;
-pub mod policy;
 pub mod probe;
 pub mod routing;
 pub mod skitter;
 
 pub use dataset::{AnomalyStats, MeasureInvariant, MeasuredDataset, MonitorRecord, NodeKind};
 pub use faults::{FaultConfig, FaultPlan, FaultSession, FaultStats, ProbeFate, StageFailure};
-pub use policy::PolicyOracle;
 
 /// Deterministic per-router RNG used by alias resolution (success is a
 /// property of the router, stable across probes).

@@ -37,9 +37,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Per-hop cost of an intradomain link.
-pub const INTRA_COST: u64 = 10;
+const INTRA_COST: u64 = 10;
 /// Per-hop cost of an interdomain link.
-pub const INTER_COST: u64 = 30;
+const INTER_COST: u64 = 30;
 
 /// Bucket-ring size: an entry pushed while settling distance `d` lands
 /// at most `INTER_COST` past it, which spans

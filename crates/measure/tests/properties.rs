@@ -4,10 +4,9 @@
 // allow-unwrap-in-tests does not reach; aborting there is fine too.
 #![allow(clippy::unwrap_used)]
 
-use geotopo_bgp::{AsId, Relationship};
+use geotopo_bgp::AsId;
 use geotopo_geo::GeoPoint;
 use geotopo_measure::dataset::{DatasetBuilder, NodeKind};
-use geotopo_measure::policy::{infer_relations, PolicyOracle};
 use geotopo_measure::routing::RoutingOracle;
 use geotopo_topology::{RouterId, Topology, TopologyBuilder};
 use proptest::prelude::*;
@@ -25,66 +24,6 @@ fn build(n: usize, edges: &[(u32, u32)]) -> Topology {
         let _ = b.add_link_auto(RouterId(a), RouterId(bb));
     }
     b.build()
-}
-
-/// Like [`build`], but with skewed AS sizes (half the routers in AS1,
-/// a quarter in AS2, an eighth each in AS3/AS4) so size-inferred
-/// relations mix providers, customers, and peers instead of collapsing
-/// to all-peer.
-fn build_tiered(n: usize, edges: &[(u32, u32)]) -> Topology {
-    let mut b = TopologyBuilder::new();
-    for i in 0..n {
-        let asn = if i < n / 2 {
-            1
-        } else if i < 3 * n / 4 {
-            2
-        } else if i < 7 * n / 8 {
-            3
-        } else {
-            4
-        };
-        b.add_router(
-            GeoPoint::new(10.0 + (i % 50) as f64, 20.0 + (i / 50) as f64).unwrap(),
-            AsId(asn),
-        );
-    }
-    for &(a, bb) in edges {
-        let _ = b.add_link_auto(RouterId(a), RouterId(bb));
-    }
-    b.build()
-}
-
-/// A parametrized valley: two provider chains (AS2, AS3) hang off
-/// opposite ends of a tier-1 chain (AS1), and a single-router customer
-/// (AS4) multihomes to both — the hop-count shortcut between AS2 and
-/// AS3 that policy routing must refuse. Returns
-/// `(topology, src, dst, stub)` with src/dst the chain tails next to
-/// the stub.
-fn valley_world(t1_len: usize, side_len: usize) -> (Topology, RouterId, RouterId, RouterId) {
-    let mut b = TopologyBuilder::new();
-    let mut loc = 0usize;
-    let mut next_loc = || {
-        loc += 1;
-        GeoPoint::new(10.0 + (loc % 50) as f64 * 0.3, 20.0 + (loc / 50) as f64).unwrap()
-    };
-    let chain =
-        |b: &mut TopologyBuilder, len: usize, asn: u32, next: &mut dyn FnMut() -> GeoPoint| {
-            let routers: Vec<RouterId> =
-                (0..len).map(|_| b.add_router(next(), AsId(asn))).collect();
-            for w in routers.windows(2) {
-                b.add_link_auto(w[0], w[1]).unwrap();
-            }
-            routers
-        };
-    let t1 = chain(&mut b, t1_len, 1, &mut next_loc);
-    let a2 = chain(&mut b, side_len, 2, &mut next_loc);
-    let a3 = chain(&mut b, side_len, 3, &mut next_loc);
-    let stub = b.add_router(next_loc(), AsId(4));
-    b.add_link_auto(a2[0], t1[0]).unwrap();
-    b.add_link_auto(a3[0], t1[t1_len - 1]).unwrap();
-    b.add_link_auto(a2[side_len - 1], stub).unwrap();
-    b.add_link_auto(a3[side_len - 1], stub).unwrap();
-    (b.build(), a2[side_len - 1], a3[side_len - 1], stub)
 }
 
 proptest! {
@@ -161,76 +100,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn policy_paths_climb_cross_once_then_descend(
-        edges in prop::collection::vec((0u32..16, 0u32..16), 1..60),
-        src in 0u32..16,
-    ) {
-        let t = build_tiered(16, &edges);
-        let rel = infer_relations(&t, 2.0);
-        let oracle = PolicyOracle::new(&t, &rel, RouterId(src));
-        for dst in 0..16u32 {
-            let Some(path) = oracle.path(RouterId(dst)) else { continue };
-            prop_assert_eq!(path[0], RouterId(src));
-            prop_assert_eq!(*path.last().unwrap(), RouterId(dst));
-            // Walk the AS-level relationship sequence through the
-            // valley-free automaton: climb (customer→provider), at most
-            // one peering, then descend (provider→customer). Intra-AS
-            // hops never change phase.
-            let mut descending = false;
-            let mut peerings = 0usize;
-            for w in path.windows(2) {
-                let (as_u, as_v) = (t.router(w[0]).asn, t.router(w[1]).asn);
-                if as_u == as_v {
-                    continue;
-                }
-                match rel.get(as_u, as_v) {
-                    Some(Relationship::CustomerToProvider) => {
-                        prop_assert!(!descending, "climb after descend: {path:?}");
-                    }
-                    Some(Relationship::PeerToPeer) => {
-                        prop_assert!(!descending, "peering after descend: {path:?}");
-                        peerings += 1;
-                        descending = true;
-                    }
-                    Some(Relationship::ProviderToCustomer) => {
-                        descending = true;
-                    }
-                    None => prop_assert!(false, "unknown AS edge on path: {path:?}"),
-                }
-            }
-            prop_assert!(peerings <= 1, "{peerings} peerings: {path:?}");
-        }
-    }
-
-    #[test]
-    fn valley_blocked_destinations_detour_instead_of_none(
-        side_len in 2usize..5,
-        extra in 0usize..4,
-    ) {
-        let t1_len = 2 * side_len + extra;
-        let (t, src, dst, stub) = valley_world(t1_len, side_len);
-        let rel = infer_relations(&t, 2.0);
-
-        // Hop-count routing happily cuts through the multihomed
-        // customer...
-        let plain = RoutingOracle::new(&t, src);
-        let short = plain.path(dst).expect("stub shortcut connects the sides");
-        prop_assert!(short.contains(&stub), "plain path avoids valley: {short:?}");
-
-        // ...policy routing must not — and must return the inflated
-        // detour over the tier-1, not give up.
-        let policy = PolicyOracle::new(&t, &rel, src);
-        let detour = policy.path(dst);
-        prop_assert!(detour.is_some(), "valley-blocked destination unreachable");
-        let detour = detour.unwrap();
-        prop_assert!(!detour.contains(&stub), "policy path transits customer: {detour:?}");
-        prop_assert!(detour.len() > short.len(), "detour {} not inflated over {}", detour.len(), short.len());
-        let as_path: Vec<AsId> = detour.iter().map(|&r| t.router(r).asn).collect();
-        prop_assert!(rel.is_valley_free(&as_path), "detour has a valley: {as_path:?}");
-        prop_assert!(policy.cost(dst).unwrap() >= plain.cost(dst).unwrap());
     }
 
     #[test]

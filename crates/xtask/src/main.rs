@@ -27,7 +27,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]).unwrap_or_else(|code| code),
         Some("analyze") => analyze(&args[1..]).unwrap_or_else(|code| code),
-        Some("bench") => bench(&args[1..]),
+        Some("bench") => bench(&args[1..]).unwrap_or_else(|code| code),
         Some("--help") | Some("-h") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -87,60 +87,17 @@ const BENCH_QUERY_BASELINE: &str = "BENCH_query.json";
 /// bench binaries (`pipeline_stages` by default, `query` via `--bench`),
 /// which own the JSON handling (this crate is deliberately
 /// dependency-free, see Cargo.toml). Exit status is the bench's own, so
-/// CI gates on it directly.
-fn bench(args: &[String]) -> ExitCode {
-    let mut do_check = false;
-    let mut do_update = false;
-    let mut which = String::from("pipeline_stages");
-    let mut scale = String::from("small");
-    let mut threads = String::from("1,4");
-    let mut json: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => do_check = true,
-            "--update" => do_update = true,
-            "--bench" => match it.next() {
-                Some(name) => which = name.clone(),
-                None => {
-                    eprintln!("error: --bench needs a name (pipeline_stages|query)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--scale" => match it.next() {
-                Some(s) => scale = s.clone(),
-                None => {
-                    eprintln!("error: --scale needs a name (tiny|small|default|large|paper)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" => match it.next() {
-                Some(list) => threads = list.clone(),
-                None => {
-                    eprintln!("error: --threads needs a list, e.g. 1,4");
-                    return ExitCode::from(2);
-                }
-            },
-            "--json" => match it.next() {
-                Some(p) => json = Some(p.clone()),
-                None => {
-                    eprintln!("error: --json needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let (baseline_name, default_json) = match which.as_str() {
+/// CI gates on it directly; `Err` carries a usage-error exit code, before
+/// any bench is spawned.
+fn bench(args: &[String]) -> Result<ExitCode, ExitCode> {
+    let opts = Opts::parse(args, "--bench --check --update --scale --threads --json")?;
+    let which = opts.bench.as_deref().unwrap_or("pipeline_stages");
+    let (baseline_name, default_json) = match which {
         "pipeline_stages" => (BENCH_BASELINE, "target/pipeline_stages.json"),
         "query" => (BENCH_QUERY_BASELINE, "target/query.json"),
         other => {
             eprintln!("error: unknown bench `{other}` (pipeline_stages|query)");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
     let root = default_root();
@@ -157,33 +114,34 @@ fn bench(args: &[String]) -> ExitCode {
     let baseline = abs(baseline_name);
     // The bench writes its JSON wherever it is told: pointing it at
     // the baseline makes the run the new reference.
-    let json = if do_update {
+    let json = if opts.update {
         baseline.clone()
     } else {
-        abs(&json.unwrap_or_else(|| default_json.into()))
+        abs(opts.json.as_deref().unwrap_or(default_json))
     };
+    let scale = opts.scale.as_deref().unwrap_or("small");
+    let threads = opts.threads.as_deref().unwrap_or("1,4");
     let mut cmd = std::process::Command::new(env!("CARGO"));
     cmd.current_dir(&root)
-        .args(["bench", "-p", "geotopo-bench", "--bench", &which])
-        .args(["--", "--scale", &scale, "--threads", &threads])
+        .args(["bench", "-p", "geotopo-bench", "--bench", which])
+        .args(["--", "--scale", scale, "--threads", threads])
         .arg("--json")
         .arg(&json);
-    if do_check {
+    if opts.check {
         cmd.arg("--check").arg(&baseline);
     }
-    match cmd.status() {
+    Ok(match cmd.status() {
         Ok(status) if status.success() => ExitCode::SUCCESS,
         Ok(status) => ExitCode::from(status.code().unwrap_or(1).clamp(0, 255) as u8),
         Err(e) => {
             eprintln!("error: failed to run cargo bench: {e}");
             ExitCode::from(2)
         }
-    }
+    })
 }
 
-/// The options `check` and `analyze` share (`--root`, `--rule`,
-/// `--list`), plus the one flag each command adds: `--all` for `check`,
-/// `--explain` for `analyze`.
+/// The parsed flags of one command; a flag the command does not accept
+/// is never set.
 #[derive(Default)]
 struct Opts {
     root: Option<PathBuf>,
@@ -191,12 +149,19 @@ struct Opts {
     list: bool,
     all: bool,
     explain: Option<String>,
+    bench: Option<String>,
+    check: bool,
+    update: bool,
+    scale: Option<String>,
+    threads: Option<String>,
+    json: Option<String>,
 }
 
 impl Opts {
-    /// Parses `args`, accepting `extra` as the command's own flag. Any
-    /// other flag is a usage error (exit 2).
-    fn parse(args: &[String], extra: &str) -> Result<Self, ExitCode> {
+    /// Parses `args`, accepting only the space-separated flags in
+    /// `accepted`. Any other flag, or a flag missing its value, is a
+    /// usage error (exit 2).
+    fn parse(args: &[String], accepted: &str) -> Result<Self, ExitCode> {
         let mut opts = Opts::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -206,14 +171,22 @@ impl Opts {
                     ExitCode::from(2)
                 })
             };
-            match arg.as_str() {
-                "--root" => opts.root = Some(PathBuf::from(value("a path")?)),
-                "--rule" => opts.only.push(value("a rule ID")?),
-                "--list" => opts.list = true,
-                "--all" if extra == "--all" => opts.all = true,
-                "--explain" if extra == "--explain" => opts.explain = Some(value("a rule ID")?),
-                other => {
-                    eprintln!("error: unknown option `{other}`");
+            match accepted.split(' ').find(|f| f == arg) {
+                Some("--root") => opts.root = Some(PathBuf::from(value("a path")?)),
+                Some("--rule") => opts.only.push(value("a rule ID")?),
+                Some("--list") => opts.list = true,
+                Some("--all") => opts.all = true,
+                Some("--explain") => opts.explain = Some(value("a rule ID")?),
+                Some("--bench") => opts.bench = Some(value("a name (pipeline_stages|query)")?),
+                Some("--check") => opts.check = true,
+                Some("--update") => opts.update = true,
+                Some("--scale") => {
+                    opts.scale = Some(value("a name (tiny|small|default|large|paper)")?)
+                }
+                Some("--threads") => opts.threads = Some(value("a list, e.g. 1,4")?),
+                Some("--json") => opts.json = Some(value("a path")?),
+                _ => {
+                    eprintln!("error: unknown option `{arg}`");
                     return Err(ExitCode::from(2));
                 }
             }
@@ -250,7 +223,7 @@ impl Opts {
 
 /// `cargo xtask check`; `Err` carries a usage-error exit code.
 fn check(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let opts = Opts::parse(args, "--all")?;
+    let opts = Opts::parse(args, "--root --rule --list --all")?;
     let mut rules = all_rules();
     let analyzers = if opts.all {
         all_analyzers()
@@ -286,7 +259,7 @@ fn check(args: &[String]) -> Result<ExitCode, ExitCode> {
 
 /// `cargo xtask analyze`; `Err` carries a usage-error exit code.
 fn analyze(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let opts = Opts::parse(args, "--explain")?;
+    let opts = Opts::parse(args, "--root --rule --list --explain")?;
     let mut analyzers: Vec<Box<dyn AnalyzeRule>> = all_analyzers();
     if let Some(id) = &opts.explain {
         let Some(r) = analyzers.iter().find(|r| r.id() == id) else {

@@ -107,45 +107,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Valley-free policy routing: how much do business relationships
-    // inflate paths beyond the cost-penalty model?
-    use geotopo::measure::policy::{infer_relations, PolicyOracle};
-    use geotopo::measure::RoutingOracle;
-    use geotopo::topology::RouterId;
-    let relations = infer_relations(&gt.topology, 3.0);
-    let src = RouterId(0);
-    let plain = RoutingOracle::new(&gt.topology, src);
-    let policy = PolicyOracle::new(&gt.topology, &relations, src);
-    let mut inflated = 0usize;
-    let mut unreachable = 0usize;
-    let mut total = 0usize;
-    let mut hop_ratio_sum = 0.0;
-    for i in (0..gt.topology.num_routers()).step_by(7) {
-        let dst = RouterId(i as u32);
-        let Some(p_plain) = plain.path(dst) else {
-            continue;
-        };
-        total += 1;
-        match policy.path(dst) {
-            Some(p_policy) => {
-                if p_policy.len() > p_plain.len() {
-                    inflated += 1;
-                }
-                hop_ratio_sum += p_policy.len() as f64 / p_plain.len().max(1) as f64;
-            }
-            None => unreachable += 1,
-        }
-    }
-    println!(
-        "\nValley-free policy routing (vs cost-penalty shortest paths, {total} destinations):"
-    );
-    println!(
-        "  inflated paths: {:.1}%, policy-unreachable: {:.1}%, mean hop ratio {:.3}",
-        100.0 * inflated as f64 / total.max(1) as f64,
-        100.0 * unreachable as f64 / total.max(1) as f64,
-        hop_ratio_sum / (total - unreachable).max(1) as f64
-    );
-
     println!(
         "\nSkitter counts interfaces, Mercator counts routers — the two snapshots differ \
          by design, yet (as the paper shows) every geographic conclusion holds on both."
