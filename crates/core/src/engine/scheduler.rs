@@ -77,13 +77,11 @@ pub struct StageReport {
     /// the stage that caused the growth. 0 where unsupported (the
     /// `engine.rss.unavailable` counter records that the 0 is a
     /// degradation, not a measurement).
-    #[serde(default)]
     pub peak_rss_bytes: u64,
     /// Durability incident survived on the way to this artifact: a
     /// corrupt cache entry that was quarantined and regenerated, or a
     /// failed spill that latched the store to in-memory residency.
     /// `None` on a clean cache cascade.
-    #[serde(default)]
     pub cache_note: Option<String>,
 }
 

@@ -15,8 +15,12 @@
 //! GTENV1\n
 //! {"schema":1,"stage":"...","fingerprint":"<16 hex>",
 //!  "payload_len":N,"checksum":"<16 hex>"}\n
-//! <N payload bytes (pretty JSON of the artifact)>
+//! <N payload bytes (compact JSON of the artifact)>
 //! ```
+//!
+//! Caches written before payloads went compact hold pretty JSON; the
+//! parser reads both, so those entries still load and the schema stays
+//! at 1.
 //!
 //! The checksum is FNV-1a over the payload (the same hash the config
 //! fingerprints use). Entries are published atomically: the envelope is
@@ -214,7 +218,7 @@ pub fn load_envelope(
     stage: &str,
     fp: Fingerprint,
 ) -> CacheRead<Vec<u8>> {
-    let bytes = match vfs.read(path) {
+    let mut bytes = match vfs.read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheRead::Miss,
         Err(e) => return CacheRead::Corrupt(format!("read failed: {e}")),
@@ -246,7 +250,8 @@ pub fn load_envelope(
             header.stage, header.fingerprint
         ));
     }
-    let payload = &rest[nl + 1..];
+    let payload_start = MAGIC_LINE.len() + nl + 1;
+    let payload = &bytes[payload_start..];
     if payload.len() as u64 != header.payload_len {
         return CacheRead::Corrupt(format!(
             "payload is {} bytes, header declares {} (torn write)",
@@ -257,11 +262,14 @@ pub fn load_envelope(
     if content_checksum(payload) != header.checksum {
         return CacheRead::Corrupt("payload checksum mismatch (corrupted content)".into());
     }
-    CacheRead::Hit(payload.to_vec())
+    // The read buffer becomes the payload: no second copy of it.
+    bytes.drain(..payload_start);
+    CacheRead::Hit(bytes)
 }
 
-/// Saves any serializable artifact as pretty JSON inside an atomic
-/// envelope (used by the engine to spill stage outputs).
+/// Saves any serializable artifact as compact JSON inside an atomic
+/// envelope (used by the engine to spill stage outputs). The text is
+/// written straight from the artifact, with no value tree in between.
 ///
 /// # Errors
 ///
@@ -273,12 +281,13 @@ pub fn save_json<T: Serialize>(
     stage: &str,
     fp: Fingerprint,
 ) -> Result<(), IoError> {
-    let json = serde_json::to_string_pretty(value)?;
+    let json = serde_json::to_string(value)?;
     save_envelope(vfs, path, stage, fp, json.as_bytes())
 }
 
 /// Loads a JSON artifact saved by [`save_json`], classifying the
-/// outcome. A payload that passed the checksum but fails to deserialize
+/// outcome. The payload text, compact or pretty, is parsed straight
+/// into `T`. A payload that passed the checksum but fails to deserialize
 /// still reports `Corrupt` (a schema drift, not a cold cache). No
 /// validation beyond deserialization — callers with invariants check
 /// them after loading.
@@ -308,6 +317,7 @@ pub fn load_json<T: serde::Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{map_stage_name, Artifact};
     use crate::pipeline::{Collector, GeoDataset, GeoNode, MapperKind, ProcessedDataset};
     use crate::vfs::RealVfs;
     use geotopo_bgp::AsId;
@@ -555,6 +565,103 @@ mod tests {
                 let _ = parse_json(&changed.iter().collect::<String>());
             }
         }
+    }
+
+    /// Reseals `payload` under a valid checksum, so the typed decoder
+    /// behind `T`'s [`Artifact::load`] sees the text as it is.
+    fn reseal_and_load<T: Artifact>(payload: &[u8], stage: &str) -> CacheRead<T> {
+        let vfs = OneFile::default();
+        save_envelope(&vfs, Path::new("e"), stage, FP, payload).unwrap();
+        T::load(&vfs, Path::new("e"), stage, FP)
+    }
+
+    /// Feeds damaged forms of `value`'s payload to its decoder: every
+    /// cut within 16 bytes of either end and ~32 cuts between, and at 8
+    /// spread offsets a change to each of ten bytes (JSON punctuation, a
+    /// digit, and a byte that is not UTF-8). Each must load as `Hit` or
+    /// `Corrupt`; a panic fails the test. The samples keep a debug-build
+    /// run to a few seconds: a load parses up to the damage.
+    fn damaged_text_is_hit_or_corrupt<T: Artifact + Serialize>(value: &T, stage: &str) {
+        let payload = serde_json::to_string(value).unwrap().into_bytes();
+        assert!(matches!(
+            reseal_and_load::<T>(&payload, stage),
+            CacheRead::Hit(_)
+        ));
+        let n = payload.len();
+        let stride = n / 32 + 1;
+        for cut in (0..n).filter(|&c| c < 16 || n - c <= 16 || c % stride == 0) {
+            let read = reseal_and_load::<T>(&payload[..cut], stage);
+            assert!(!matches!(read, CacheRead::Miss), "{stage} cut at {cut}");
+        }
+        for at in (n / 16..n).step_by(n / 8 + 1) {
+            for byte in *b"\"]},:-9.\\\xff" {
+                let mut changed = payload.clone();
+                changed[at] = byte;
+                let read = reseal_and_load::<T>(&changed, stage);
+                assert!(!matches!(read, CacheRead::Miss), "{stage} byte {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn typed_decoders_survive_damaged_text() {
+        let out = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::tiny(8))
+            .run()
+            .unwrap();
+        damaged_text_is_hit_or_corrupt(&*out.ground_truth, "ground-truth");
+        damaged_text_is_hit_or_corrupt(&*out.route_table, "route-table");
+        damaged_text_is_hit_or_corrupt(&*out.skitter, "collect-skitter");
+        damaged_text_is_hit_or_corrupt(&*out.mercator, "collect-mercator");
+        for d in &out.datasets {
+            damaged_text_is_hit_or_corrupt(&**d, &map_stage_name(d.mapper, d.collector));
+        }
+
+        // A field the decoder requires stays required: an entry without
+        // it is damaged, never restored with a made-up count.
+        let text = serde_json::to_string(&*out.skitter).unwrap();
+        let at = text.find("\"probes_sent\":").unwrap();
+        let end = at + text[at..].find(',').unwrap() + 1;
+        let pruned = format!("{}{}", &text[..at], &text[end..]);
+        let read = reseal_and_load::<geotopo_measure::SkitterOutput>(pruned.as_bytes(), STAGE);
+        assert!(matches!(read, CacheRead::Corrupt(r) if r.contains("probes_sent")));
+    }
+
+    #[test]
+    fn keys_may_come_in_any_order_unknown_ones_skip_and_missing_ones_fail() {
+        let text = serde_json::to_string(&sample()).unwrap();
+        let Ok(serde_json::Value::Object(mut entries)) = serde_json::from_str(&text) else {
+            panic!("a dataset serializes as an object");
+        };
+        entries.reverse();
+        entries.push((
+            "unknown".into(),
+            serde_json::json!({ "a": [1, { "b": null }] }),
+        ));
+        let decode = |entries: &[(String, serde_json::Value)]| {
+            let text = serde_json::to_string(&serde_json::Value::Object(entries.to_vec()));
+            serde_json::from_str::<ProcessedDataset>(&text.unwrap())
+        };
+        let back = decode(&entries).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        entries.retain(|(key, _)| key != "mapper");
+        assert!(decode(&entries).is_err());
+    }
+
+    #[test]
+    fn skipping_an_unknown_key_keeps_the_depth_limit() {
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let text = serde_json::to_string(&sample()).unwrap();
+        let payload = format!("{{\"unknown\":{deep},{}", &text[1..]);
+        let CacheRead::Corrupt(reason) =
+            reseal_and_load::<ProcessedDataset>(payload.as_bytes(), STAGE)
+        else {
+            panic!("a 10,000-deep value must not decode");
+        };
+        assert!(reason.contains("too deep"), "{reason}");
+        // The same text without the nesting loads.
+        let payload = format!("{{\"unknown\":[[]],{}", &text[1..]);
+        let read = reseal_and_load::<ProcessedDataset>(payload.as_bytes(), STAGE);
+        assert!(matches!(read, CacheRead::Hit(_)));
     }
 
     proptest! {

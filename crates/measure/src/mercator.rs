@@ -74,15 +74,12 @@ pub struct MercatorOutput {
     /// The primary source router.
     pub source: RouterId,
     /// Probes actually sent during the campaign (retries included).
-    #[serde(default)]
     pub probes_sent: u64,
     /// Virtual probe-tick clock reading at campaign end (probes sent
     /// plus backoff waits; see `faults`).
-    #[serde(default)]
     pub virtual_ticks: u64,
     /// Shortest-path solver counters: one solve per distinct vantage,
     /// memo hits for every repeated lateral pick.
-    #[serde(default)]
     pub routing: crate::routing::RoutingStats,
 }
 

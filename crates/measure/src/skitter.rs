@@ -87,14 +87,11 @@ pub struct SkitterOutput {
     /// completed (also recorded per-monitor in `dataset.anomalies`).
     pub failed_monitors: usize,
     /// Probes actually sent during the campaign (retries included).
-    #[serde(default)]
     pub probes_sent: u64,
     /// Virtual probe-tick clock reading at campaign end (probes sent
     /// plus backoff waits; see `faults`).
-    #[serde(default)]
     pub virtual_ticks: u64,
     /// Shortest-path solver counters, merged in monitor-index order.
-    #[serde(default)]
     pub routing: RoutingStats,
 }
 

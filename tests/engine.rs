@@ -1,9 +1,14 @@
 //! Stage-graph engine guarantees: scheduling must never change results,
 //! and the artifact store must actually avoid recomputation.
 
-use geotopo::core::engine::{ArtifactStore, CacheStatus};
+use geotopo::core::engine::{
+    config_fingerprint, map_stage_name, stage_fingerprint, ArtifactStore, CacheStatus,
+    COLLECT_MERCATOR, COLLECT_SKITTER, GROUND_TRUTH, ROUTE_TABLE,
+};
 use geotopo::core::experiments;
+use geotopo::core::io;
 use geotopo::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
+use geotopo::core::vfs::RealVfs;
 use std::sync::Arc;
 
 /// The engine's core promise: output is a pure function of the config,
@@ -176,6 +181,76 @@ fn disk_cache_survives_store_loss() {
     let resident = |out: &PipelineOutput| out.metrics.gauges["engine.store.resident_bytes"] as u64;
     assert_eq!(resident(&first), resident(&second));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One artifact's JSON three ways: compact, compact through the `Value`
+/// built from it, and pretty.
+macro_rules! forms {
+    ($artifact:expr) => {
+        [
+            serde_json::to_string($artifact).unwrap(),
+            serde_json::to_string(&serde_json::to_value($artifact).unwrap()).unwrap(),
+            serde_json::to_string_pretty($artifact).unwrap(),
+        ]
+    };
+}
+
+/// The 8 artifacts a run persists, by stage name, in [`forms!`].
+fn persisted(out: &PipelineOutput) -> Vec<(String, [String; 3])> {
+    let mut all = vec![
+        (GROUND_TRUTH.to_string(), forms!(&*out.ground_truth)),
+        (ROUTE_TABLE.to_string(), forms!(&*out.route_table)),
+        (COLLECT_SKITTER.to_string(), forms!(&*out.skitter)),
+        (COLLECT_MERCATOR.to_string(), forms!(&*out.mercator)),
+    ];
+    for d in &out.datasets {
+        all.push((map_stage_name(d.mapper, d.collector), forms!(&**d)));
+    }
+    all
+}
+
+/// Envelopes written before payloads went compact hold pretty JSON. A
+/// store of them must restore all 8 artifacts from disk, quarantine
+/// none, and give what the run that computed them gave.
+#[test]
+fn pretty_payload_cache_restores_from_disk() {
+    let dir = std::env::temp_dir().join("geotopo_engine_pretty_cache_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PipelineConfig::tiny(8);
+    let fresh = persisted(&Pipeline::new(cfg.clone()).run().unwrap());
+    for (stage, [_, _, pretty]) in &fresh {
+        let fp = stage_fingerprint(config_fingerprint(&cfg), stage);
+        let path = io::dataset_cache_path(&dir, &fp.to_string(), stage);
+        io::save_envelope(&RealVfs, &path, stage, fp, pretty.as_bytes()).unwrap();
+    }
+
+    let store = Arc::new(ArtifactStore::with_disk(&dir));
+    let out = Pipeline::new(cfg).with_store(store.clone()).run().unwrap();
+    let disk_hits = out
+        .reports
+        .iter()
+        .filter(|r| r.cache == CacheStatus::HitDisk)
+        .count();
+    assert_eq!(disk_hits, 8, "every pretty envelope should reload");
+    assert_eq!(store.corrupt_detected(), 0);
+    for ((stage, restored), (_, computed)) in persisted(&out).iter().zip(&fresh) {
+        assert!(restored == computed, "{stage} differs after the restore");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The JSON writer and the `Value` builder implement one serializer
+/// interface: for every persisted artifact, writing it directly and
+/// writing the `Value` built from it give the same text.
+#[test]
+fn direct_writer_and_value_builder_agree() {
+    let out = Pipeline::new(PipelineConfig::tiny(8)).run().unwrap();
+    for (stage, [direct, via_value, _]) in persisted(&out) {
+        assert!(
+            direct == via_value,
+            "{stage}: the two serializer paths differ"
+        );
+    }
 }
 
 /// `GEOTOPO_THREADS` feeds the same resolution path as the config knob;
