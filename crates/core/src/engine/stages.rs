@@ -196,16 +196,40 @@ impl Artifact for GroundTruth {
 
     fn load(vfs: &dyn Vfs, path: &Path, stage: &str, fp: Fingerprint) -> CacheRead<Self> {
         // Guard against fingerprint collisions or a tampered file: the
-        // embedded config must describe the same world size.
+        // embedded config must describe the same world size, the packed
+        // topology arrays must agree with each other (deserialization
+        // bypasses the builder that establishes them; `validate` costs
+        // a few ms at `large` against a ~1 s restore), and every router
+        // must name a region of the config, since the collectors index
+        // per-region tables with it.
         io::load_json(vfs, path, stage, fp).guard(|gt: &GroundTruth| {
-            if gt.topology.num_routers() == gt.config.total_routers {
-                Ok(())
-            } else {
-                Err(format!(
-                    "embedded config expects {} routers, topology holds {}",
-                    gt.config.total_routers,
-                    gt.topology.num_routers()
-                ))
+            let routers = gt.topology.num_routers();
+            if routers != gt.config.total_routers {
+                return Err(format!(
+                    "embedded config expects {} routers, topology holds {routers}",
+                    gt.config.total_routers
+                ));
+            }
+            gt.topology
+                .validate()
+                .map_err(|e| format!("topology invariant violated: {e}"))?;
+            let regions = gt.config.regions.len();
+            if gt.router_region.len() != routers {
+                return Err(format!(
+                    "{} router regions for {routers} routers",
+                    gt.router_region.len()
+                ));
+            }
+            match gt
+                .router_region
+                .iter()
+                .position(|&r| usize::from(r) >= regions)
+            {
+                Some(r) => Err(format!(
+                    "router {r} names region {} of {regions}",
+                    gt.router_region[r]
+                )),
+                None => Ok(()),
             }
         })
     }

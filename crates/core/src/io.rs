@@ -627,6 +627,34 @@ mod tests {
     }
 
     #[test]
+    fn damaged_ground_truth_restores_only_as_a_valid_world() {
+        // Each digit of a 30-router world's payload changed to another
+        // digit (the replacement cycles through all nine with the
+        // offset) and resealed under a valid checksum: the guard must
+        // turn each into Corrupt, or restore a world whose topology
+        // validates and whose routers all name a configured region.
+        use geotopo_topology::generate::{GroundTruth, GroundTruthConfig};
+        let gt = GroundTruth::generate(GroundTruthConfig::at_scale(30, 8)).unwrap();
+        let payload = serde_json::to_string(&gt).unwrap().into_bytes();
+        let (mut corrupt, mut valid) = (0usize, 0usize);
+        for at in (0..payload.len()).filter(|&i| payload[i].is_ascii_digit()) {
+            let mut changed = payload.clone();
+            changed[at] = b'0' + (changed[at] - b'0' + 1 + (at % 9) as u8) % 10;
+            match reseal_and_load::<GroundTruth>(&changed, "ground-truth") {
+                CacheRead::Hit(back) => {
+                    assert_eq!(back.topology.validate(), Ok(()), "digit at {at}");
+                    let regions = back.config.regions.len();
+                    assert!(back.router_region.iter().all(|&r| usize::from(r) < regions));
+                    valid += 1;
+                }
+                CacheRead::Corrupt(_) => corrupt += 1,
+                CacheRead::Miss => panic!("digit at {at} read as a miss"),
+            }
+        }
+        assert!(corrupt > 0 && valid > 0, "{corrupt} corrupt, {valid} valid");
+    }
+
+    #[test]
     fn keys_may_come_in_any_order_unknown_ones_skip_and_missing_ones_fail() {
         let text = serde_json::to_string(&sample()).unwrap();
         let Ok(serde_json::Value::Object(mut entries)) = serde_json::from_str(&text) else {

@@ -310,15 +310,31 @@ impl MeasuredDataset {
 }
 
 /// A [`MeasuredDataset`] under construction: the dataset plus the IP
-/// index and link set that interning and link deduplication need.
-/// [`finish`](Self::finish) drops both, so no collector's output carries
-/// an index that a restore from disk would not.
+/// index, link set and link cache that interning and link deduplication
+/// need. [`finish`](Self::finish) drops all three, so no collector's
+/// output carries an index that a restore from disk would not.
+///
+/// Routes from one source form a tree, and every monitor's tree enters
+/// a router from much the same place, so almost every link sighting
+/// repeats one already seen, most often the last one that reached the
+/// same node. A per-node cache of that last neighbour answers those
+/// repeats before the link set is hashed; see
+/// [`observe_link`](Self::observe_link).
 #[derive(Debug)]
 pub struct DatasetBuilder {
     dataset: MeasuredDataset,
     node_index: HashMap<Ipv4Addr, u32>,
     link_set: HashSet<(u32, u32)>,
+    /// Per node `b`, the `a` of the last `observe_link(a, b)` that was
+    /// looked up in the link set ([`NO_NODE`] before the first): always
+    /// a pair the set holds.
+    last_linked_from: Vec<u32>,
 }
+
+/// [`DatasetBuilder::last_linked_from`] of a node nothing was linked to
+/// yet. No node index reaches it: indices are `u32` positions in the
+/// node list.
+const NO_NODE: u32 = u32::MAX;
 
 impl DatasetBuilder {
     /// An empty dataset of node kind `kind`.
@@ -332,6 +348,7 @@ impl DatasetBuilder {
             },
             node_index: HashMap::new(),
             link_set: HashSet::new(),
+            last_linked_from: Vec::new(),
         }
     }
 
@@ -346,8 +363,21 @@ impl DatasetBuilder {
             ip,
             aliases: Vec::new(),
         });
+        self.last_linked_from.push(NO_NODE);
         self.node_index.insert(ip, i);
         i
+    }
+
+    /// The node behind an intern-cache `slot` (a collector-side cache
+    /// indexed by whatever names the address, `u32::MAX` when empty),
+    /// interning `ip()` on the first sighting. An address keeps its node
+    /// once interned, so the cache answers exactly what the by-IP map
+    /// would, without hashing the address again.
+    pub(crate) fn intern_cached(&mut self, slot: &mut u32, ip: impl FnOnce() -> Ipv4Addr) -> u32 {
+        if *slot == u32::MAX {
+            *slot = self.intern(ip());
+        }
+        *slot
     }
 
     /// Registers an alias for a router-level node.
@@ -361,11 +391,26 @@ impl DatasetBuilder {
 
     /// Records an observed adjacency between two nodes. Self-loops and
     /// duplicates are counted as anomalies and dropped, as in the paper.
+    ///
+    /// When `a` is the node `b` was last linked from, the pair is a
+    /// duplicate without hashing: the cache only ever names a pair that
+    /// is already in the link set. Self-loops are counted before the
+    /// cache is read and never enter it. Nodes the builder did not
+    /// intern bypass the cache.
     pub fn observe_link(&mut self, a: u32, b: u32) {
         let anomalies = &mut self.dataset.anomalies;
         if a == b {
             anomalies.self_loops += 1;
             return;
+        }
+        if (a as usize) < self.last_linked_from.len() {
+            if let Some(from) = self.last_linked_from.get_mut(b as usize) {
+                if *from == a {
+                    anomalies.duplicate_links += 1;
+                    return;
+                }
+                *from = a;
+            }
         }
         let key = if a < b { (a, b) } else { (b, a) };
         if self.link_set.insert(key) {
@@ -380,7 +425,8 @@ impl DatasetBuilder {
         self.node_index.get(&ip).copied()
     }
 
-    /// The finished dataset; the IP index and link set are dropped.
+    /// The finished dataset; the IP index, link set and link cache are
+    /// dropped.
     pub fn finish(self) -> MeasuredDataset {
         self.dataset
     }

@@ -14,6 +14,12 @@
 //! further without sending. There is no wall clock anywhere; flap windows
 //! and outage onsets are expressed in ticks against the campaign's
 //! expected probe budget.
+//!
+//! A [`FaultSession`] keeps an ICMP token bucket only for the routers it
+//! has let a probe through to; every other router reads as a full bucket
+//! refilled at the session's base tick. Opening a session therefore
+//! costs nothing per router, which matters because Skitter opens one per
+//! trace chunk.
 
 use serde::{Deserialize, Serialize};
 
@@ -284,42 +290,138 @@ impl FaultPlan {
     }
 }
 
-/// Mutable campaign state: the virtual clock, per-router token buckets,
-/// and the pathology counters.
+/// One router's ICMP token bucket.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// Remaining tokens, refilled lazily by elapsed ticks.
+    tokens: f64,
+    /// Tick of the last refill.
+    refilled_at: u64,
+}
+
+/// The router of an empty [`Buckets`] slot. Router ids stay below it: a
+/// topology never holds `u32::MAX` routers.
+const FREE: u32 = u32::MAX;
+
+/// Most slots a table's first allocation takes: room for 4,096 buckets
+/// at half load. No Skitter trace chunk of the seed-2002 worlds probes
+/// that many routers (at most 3,427 at `paper` under `moderate`, 3,103
+/// at `large` under `light`), so a chunk's session allocates once.
+const FIRST_SLOTS_MAX: usize = 8192;
+
+/// The token buckets a session holds: an open-addressed table keyed by
+/// router id (Fibonacci hashing, linear probing) over the buckets in
+/// first-use order. A router without a slot holds the session's initial
+/// bucket, so a new table allocates nothing. The first bucket allocates
+/// twice the plan's router count in slots, rounded up to a power of two
+/// and capped at [`FIRST_SLOTS_MAX`]; the table doubles whenever it
+/// would pass half full after that, which only a campaign-long session
+/// such as Mercator's reaches.
+#[derive(Debug)]
+struct Buckets {
+    /// `(router, index into buckets)` per slot, [`FREE`] when empty; a
+    /// power of two in length once allocated.
+    slots: Vec<(u32, u32)>,
+    buckets: Vec<Bucket>,
+    /// Slots of the first allocation.
+    first_slots: usize,
+}
+
+impl Buckets {
+    /// An empty table for a plan over `routers` routers.
+    fn new(routers: usize) -> Self {
+        Buckets {
+            slots: Vec::new(),
+            buckets: Vec::new(),
+            first_slots: (2 * routers).next_power_of_two().clamp(2, FIRST_SLOTS_MAX),
+        }
+    }
+
+    /// The slot a probe sequence for `router` starts at, in a table of
+    /// `cap` (a power of two ≥ 2) slots: the top bits of a Fibonacci
+    /// product.
+    fn home(router: u32, cap: usize) -> usize {
+        let bits = cap.trailing_zeros();
+        (u64::from(router).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// `router`'s bucket, created as `initial` on its first use.
+    fn get_or_insert(&mut self, router: u32, initial: Bucket) -> &mut Bucket {
+        if 2 * (self.buckets.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(router, self.slots.len());
+        loop {
+            let (r, at) = self.slots[i];
+            if r == router {
+                return &mut self.buckets[at as usize];
+            }
+            if r == FREE {
+                self.slots[i] = (router, self.buckets.len() as u32);
+                self.buckets.push(initial);
+                let last = self.buckets.len() - 1;
+                return &mut self.buckets[last];
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Allocates the first table or doubles it, re-homing every slot.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(self.first_slots);
+        // analyze: allow(alloc): the first bucket of a session allocates, and the table doubles when it would pass half full, so a session allocates once per doubling of the routers it probes, not per probe
+        let old = std::mem::replace(&mut self.slots, vec![(FREE, 0); cap]);
+        for (router, at) in old.into_iter().filter(|&(r, _)| r != FREE) {
+            let mut i = Self::home(router, cap);
+            while self.slots[i].0 != FREE {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = (router, at);
+        }
+    }
+}
+
+/// Mutable campaign state: the virtual clock, the token buckets of the
+/// routers probed so far, and the pathology counters.
 #[derive(Debug)]
 pub struct FaultSession<'p> {
     plan: &'p FaultPlan,
+    /// The tick the session started at; every bucket was last refilled
+    /// there until its router is first probed.
+    base: u64,
     tick: u64,
     /// Probes actually sent (first transmissions and retries alike).
     probes_sent: u64,
-    /// Per-router remaining tokens, refilled lazily by elapsed ticks.
-    tokens: Vec<f64>,
-    /// Tick of each router's last refill.
-    refilled_at: Vec<u64>,
+    /// Token buckets of the routers a probe has reached the rate limiter
+    /// of; every other router's bucket is full.
+    buckets: Buckets,
     /// Pathology counters for this campaign.
     pub stats: FaultStats,
 }
 
 impl<'p> FaultSession<'p> {
-    /// Starts a session at tick 0 with full token buckets.
+    /// Starts a session at tick 0 with every token bucket full.
     pub fn new(plan: &'p FaultPlan) -> Self {
         Self::at_tick(plan, 0)
     }
 
-    /// Starts a session at an arbitrary `base` tick with full token
-    /// buckets. Monitor-parallel collection carves the virtual clock
+    /// Starts a session at an arbitrary `base` tick with every token
+    /// bucket full: `rate_limit_burst` tokens, last refilled at `base`.
+    /// A bucket takes memory only once a probe reaches its router's rate
+    /// limiter, so opening a session costs nothing per router.
+    /// Monitor-parallel collection carves the virtual clock
     /// into per-monitor slices (monitor `m` starts at `m × slice_len`):
     /// loss hashes, flap windows, and outage onsets all key off the
     /// absolute tick, so a monitor's fate stream depends only on its own
     /// slice — never on thread interleaving.
     pub fn at_tick(plan: &'p FaultPlan, base: u64) -> Self {
-        let n = plan.flaps.len();
         FaultSession {
             plan,
+            base,
             tick: base,
             probes_sent: 0,
-            tokens: vec![f64::from(plan.cfg.rate_limit_burst); n],
-            refilled_at: vec![base; n],
+            buckets: Buckets::new(plan.flaps.len()),
             stats: FaultStats::default(),
         }
     }
@@ -347,8 +449,7 @@ impl<'p> FaultSession<'p> {
         if self.plan.inert {
             return ProbeFate::Answered;
         }
-        let r = router as usize;
-        if let Some(&Some((start, end))) = self.plan.flaps.get(r) {
+        if let Some(&Some((start, end))) = self.plan.flaps.get(router as usize) {
             if start <= self.tick && self.tick < end {
                 self.stats.flap_breaks += 1;
                 return ProbeFate::Flapped;
@@ -362,15 +463,21 @@ impl<'p> FaultSession<'p> {
             return ProbeFate::Lost;
         }
         if cfg.rate_limit_burst > 0 {
-            let elapsed = (self.tick - self.refilled_at[r]) as f64;
             let burst = f64::from(cfg.rate_limit_burst);
-            self.tokens[r] = (self.tokens[r] + elapsed * cfg.rate_limit_refill).min(burst);
-            self.refilled_at[r] = self.tick;
-            if self.tokens[r] < 1.0 {
+            let tick = self.tick;
+            let initial = Bucket {
+                tokens: burst,
+                refilled_at: self.base,
+            };
+            let b = self.buckets.get_or_insert(router, initial);
+            let elapsed = (tick - b.refilled_at) as f64;
+            b.tokens = (b.tokens + elapsed * cfg.rate_limit_refill).min(burst);
+            b.refilled_at = tick;
+            if b.tokens < 1.0 {
                 self.stats.rate_limited += 1;
                 return ProbeFate::RateLimited;
             }
-            self.tokens[r] -= 1.0;
+            b.tokens -= 1.0;
         }
         ProbeFate::Answered
     }
@@ -394,6 +501,7 @@ impl<'p> FaultSession<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     // Exact equality is the property under test: the hash is a pure
@@ -501,6 +609,156 @@ mod tests {
             }
         }
         assert_eq!(sliced.probes_sent(), 100);
+    }
+
+    /// A reference session with one dense bucket per router of the plan,
+    /// all filled when the session opens. Fates, ticks and counters of
+    /// the table-backed session must match it probe for probe.
+    struct DenseSession<'p> {
+        plan: &'p FaultPlan,
+        tick: u64,
+        probes_sent: u64,
+        tokens: Vec<f64>,
+        refilled_at: Vec<u64>,
+        stats: FaultStats,
+    }
+
+    impl<'p> DenseSession<'p> {
+        fn at_tick(plan: &'p FaultPlan, base: u64) -> Self {
+            let n = plan.flaps.len();
+            DenseSession {
+                plan,
+                tick: base,
+                probes_sent: 0,
+                tokens: vec![f64::from(plan.cfg.rate_limit_burst); n],
+                refilled_at: vec![base; n],
+                stats: FaultStats::default(),
+            }
+        }
+
+        fn probe(&mut self, router: u32) -> ProbeFate {
+            self.tick += 1;
+            self.probes_sent += 1;
+            if self.plan.inert {
+                return ProbeFate::Answered;
+            }
+            let r = router as usize;
+            if let Some(&Some((start, end))) = self.plan.flaps.get(r) {
+                if start <= self.tick && self.tick < end {
+                    self.stats.flap_breaks += 1;
+                    return ProbeFate::Flapped;
+                }
+            }
+            let cfg = &self.plan.cfg;
+            if cfg.packet_loss > 0.0
+                && unit(cfg.seed ^ LOSS_SALT, self.tick, u64::from(router)) < cfg.packet_loss
+            {
+                self.stats.probes_lost += 1;
+                return ProbeFate::Lost;
+            }
+            if cfg.rate_limit_burst > 0 {
+                let elapsed = (self.tick - self.refilled_at[r]) as f64;
+                let burst = f64::from(cfg.rate_limit_burst);
+                self.tokens[r] = (self.tokens[r] + elapsed * cfg.rate_limit_refill).min(burst);
+                self.refilled_at[r] = self.tick;
+                if self.tokens[r] < 1.0 {
+                    self.stats.rate_limited += 1;
+                    return ProbeFate::RateLimited;
+                }
+                self.tokens[r] -= 1.0;
+            }
+            ProbeFate::Answered
+        }
+
+        fn backoff(&mut self, attempt: u32) {
+            let shift = attempt.saturating_sub(1).min(6);
+            self.tick += self.plan.cfg.retry_backoff << shift;
+        }
+    }
+
+    /// Drives both sessions through `ops` — `(0, x)` backs off for
+    /// attempt `x % 8 + 1`, `(k, x)` probes router `x % spread` with
+    /// `spread = hot` for `k < 12` (so buckets drain) and `routers`
+    /// otherwise (so the table fills) — and compares every fate and
+    /// tick, then the counters.
+    fn check_against_dense(plan: &FaultPlan, base: u64, hot: u32, ops: &[(u8, u32)]) {
+        let routers = plan.flaps.len() as u32;
+        let mut table = FaultSession::at_tick(plan, base);
+        let mut dense = DenseSession::at_tick(plan, base);
+        for &(op, x) in ops {
+            if op == 0 {
+                table.backoff(x % 8 + 1);
+                dense.backoff(x % 8 + 1);
+            } else {
+                let router = x % if op < 12 { hot.min(routers) } else { routers };
+                assert_eq!(table.probe(router), dense.probe(router), "router {router}");
+            }
+            assert_eq!(table.tick(), dense.tick);
+        }
+        assert_eq!(table.probes_sent(), dense.probes_sent);
+        assert_eq!(table.stats, dense.stats);
+    }
+
+    proptest! {
+        #[test]
+        fn bucket_table_matches_a_dense_bucket_per_router(
+            // The three named profiles, and a plan whose buckets never
+            // refill, so every bucket keeps a count of its probes and a
+            // bucket read for the wrong router changes a fate.
+            profile in 0usize..4,
+            seed in any::<u64>(),
+            // Half the worlds have at most 64 routers, which keeps the
+            // table near half full and its probe sequences long.
+            small in any::<bool>(),
+            routers in 1usize..20_000,
+            base in 0u64..1_000_000,
+            hot in 1u32..5,
+            ops in prop::collection::vec((0u8..16, any::<u32>()), 1..2_000),
+        ) {
+            let cfg = match ["light", "moderate", "heavy"].get(profile) {
+                Some(name) => FaultConfig::profile(name, seed).unwrap(),
+                None => FaultConfig {
+                    rate_limit_burst: 1 + (seed % 8) as u32,
+                    ..FaultConfig::none()
+                },
+            };
+            let routers = if small { routers % 64 + 1 } else { routers };
+            let plan = FaultPlan::compile(&cfg, routers, 1, 20_000);
+            check_against_dense(&plan, base, hot, &ops);
+        }
+    }
+
+    #[test]
+    fn bucket_table_grows_past_its_first_allocation() {
+        // Without refill a drained bucket stays drained, so a bucket lost
+        // or mixed up while the table doubles shows as a changed fate.
+        // 12,000 distinct routers, drawn at random so that their slots
+        // collide, are each probed four times, a pass at a time: the
+        // first pass doubles the table past its first 8,192 slots twice
+        // while the buckets hold part of their 3 tokens, and the fourth
+        // pass finds every bucket empty.
+        let mut cfg = FaultConfig::none();
+        cfg.rate_limit_burst = 3;
+        let plan = FaultPlan::compile(&cfg, 50_000, 1, 100_000);
+        let mut routers: Vec<u32> = (0..30_000u64)
+            .map(|i| (unit(1, i, 0) * 50_000.0) as u32)
+            .collect();
+        routers.sort_unstable();
+        routers.dedup();
+        routers.truncate(12_000);
+        let ops: Vec<(u8, u32)> = (0..4)
+            .flat_map(|_| routers.iter().map(|&r| (12, r)))
+            .collect();
+        check_against_dense(&plan, 77, 1, &ops);
+        let mut s = FaultSession::at_tick(&plan, 77);
+        for &(_, router) in &ops {
+            s.probe(router);
+        }
+        assert_eq!(s.stats.rate_limited, 12_000);
+        assert!(
+            s.buckets.slots.len() > 2 * FIRST_SLOTS_MAX,
+            "the table grew once at most"
+        );
     }
 
     #[test]

@@ -20,15 +20,15 @@
 
 use crate::dataset::{DatasetBuilder, MeasuredDataset, NodeKind};
 use crate::faults::{FaultConfig, FaultPlan, FaultSession};
-use crate::probe::{sample_destinations, TraceBuf, TracerouteSim};
-use crate::routing::{RoutingOracle, RoutingScratch};
+use crate::probe::{sample_destinations, Hop, TraceBuf, TracerouteSim};
+use crate::routing::RoutingScratch;
 use geotopo_stats::SerialExec;
 use geotopo_topology::generate::GroundTruth;
-use geotopo_topology::RouterId;
+use geotopo_topology::{RouterId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Mercator collection parameters.
@@ -130,32 +130,7 @@ impl Mercator {
         let mut session = FaultSession::new(&plan);
 
         // Raw interface-level adjacency observations.
-        let mut raw = DatasetBuilder::new(NodeKind::Interface);
-        let mut seen_routers: HashSet<u32> = HashSet::new();
-        let trace_into = |oracle: &RoutingOracle,
-                          dst: RouterId,
-                          raw: &mut DatasetBuilder,
-                          seen_routers: &mut HashSet<u32>,
-                          session: &mut FaultSession<'_>,
-                          buf: &mut TraceBuf| {
-            let Some(hops) = sim.trace_with_faults_into(oracle, dst, session, buf) else {
-                return;
-            };
-            let mut prev: Option<u32> = None;
-            for hop in hops {
-                seen_routers.insert(hop.router.0);
-                match hop.interface {
-                    Some(iface) => {
-                        let node = raw.intern(t.interface(iface).ip);
-                        if let Some(p) = prev {
-                            raw.observe_link(p, node);
-                        }
-                        prev = Some(node);
-                    }
-                    None => prev = None,
-                }
-            }
-        };
+        let mut sweep = RawSweep::new(t);
 
         // Primary sweep. One scratch spans the whole collection: the
         // bucket ring warms once, and every vantage solved once is
@@ -164,22 +139,16 @@ impl Mercator {
         let mut buf = TraceBuf::new();
         let primary = scratch.oracle(t, source);
         for &dst in attach.iter().flatten() {
-            trace_into(
-                primary,
-                dst,
-                &mut raw,
-                &mut seen_routers,
-                &mut session,
-                &mut buf,
-            );
+            if let Some(hops) = sim.trace_with_faults_into(primary, dst, &mut session, &mut buf) {
+                sweep.record(hops);
+            }
         }
 
         // Lateral vantage sweeps (loose-source-routing effect): re-probe
-        // a subset of the space from routers discovered by the primary.
-        let mut discovered: Vec<u32> = seen_routers.iter().copied().collect();
-        // HashSet iteration order is process-random; sort so vantage
-        // choice is a pure function of the seed.
-        discovered.sort_unstable();
+        // a subset of the space from routers discovered by the primary,
+        // in ascending id order so vantage choice is a pure function of
+        // the seed.
+        let discovered = sweep.discovered();
         if !discovered.is_empty() {
             for v in 0..cfg.lateral_sources {
                 let vantage = RouterId(discovered[rng.random_range(0..discovered.len())]);
@@ -196,75 +165,17 @@ impl Mercator {
                             continue;
                         }
                         let Some(dst) = dst else { continue };
-                        trace_into(
-                            oracle,
-                            dst,
-                            &mut raw,
-                            &mut seen_routers,
-                            &mut session,
-                            &mut buf,
-                        );
+                        if let Some(hops) =
+                            sim.trace_with_faults_into(oracle, dst, &mut session, &mut buf)
+                        {
+                            sweep.record(hops);
+                        }
                     }
                 }
             }
         }
-        let raw = raw.finish();
-
-        // Alias resolution: collapse interfaces of a router into one node
-        // when the UDP-probe technique succeeds for that router.
-        let mut resolvable: HashMap<u32, bool> = HashMap::new();
-        let mut canonical: HashMap<u32, Ipv4Addr> = HashMap::new(); // router -> canonical ip
-        let mut node_target: Vec<Ipv4Addr> = Vec::with_capacity(raw.num_nodes());
-        for node in raw.nodes() {
-            let router = t
-                .router_by_ip(node.ip)
-                .expect("observed interfaces exist in ground truth"); // lint: allow(unwrap): probes only reach ground-truth interfaces
-            let ok = *resolvable.entry(router.0).or_insert_with(|| {
-                let mut r = crate::alias_rng(cfg.seed, router.0);
-                r.random::<f64>() < cfg.alias_success
-            });
-            if ok {
-                let canon = canonical.entry(router.0).or_insert(node.ip);
-                if node.ip < *canon {
-                    *canon = node.ip;
-                }
-            }
-            node_target.push(node.ip); // placeholder, resolved below
-        }
-        // Second pass now that canonical IPs are final.
-        for (i, node) in raw.nodes().iter().enumerate() {
-            let router = t.router_by_ip(node.ip).expect("checked above"); // lint: allow(unwrap): resolved in the first pass
-            if resolvable[&router.0] {
-                node_target[i] = canonical[&router.0];
-            }
-        }
-
-        let mut routers = DatasetBuilder::new(NodeKind::Router);
-        let mut raw_to_new: Vec<u32> = Vec::with_capacity(raw.num_nodes());
-        for (node, &canon) in raw.nodes().iter().zip(&node_target) {
-            let new = routers.intern(canon);
-            routers.add_alias(new, node.ip);
-            raw_to_new.push(new);
-        }
-        let mut alias_self_loops = 0;
-        for &(a, b) in raw.links() {
-            let (na, nb) = (raw_to_new[a as usize], raw_to_new[b as usize]);
-            if na == nb {
-                // Both raw endpoints collapsed onto one router: an
-                // alias-resolution artifact, reported distinctly from
-                // probing self-loops.
-                alias_self_loops += 1;
-                continue;
-            }
-            routers.observe_link(na, nb);
-        }
-        // One struct reports every anomaly of the collection: fold the
-        // raw sweep's discards and the fault session's pathology
-        // counters into the final dataset's stats.
-        let mut dataset = routers.finish();
-        dataset.anomalies.alias_self_loops = alias_self_loops;
-        dataset.anomalies.self_loops += raw.anomalies.self_loops;
-        dataset.anomalies.duplicate_links += raw.anomalies.duplicate_links;
+        let raw = sweep.raw.finish();
+        let mut dataset = resolve_aliases(t, cfg, &raw);
         dataset.anomalies.faults.absorb(&session.stats);
 
         MercatorOutput {
@@ -278,10 +189,124 @@ impl Mercator {
     }
 }
 
+/// Alias resolution: collapses the interfaces of each router whose
+/// UDP-probe resolution succeeds into one node named by its lowest
+/// address, and carries the raw sweep's discards into the router-level
+/// dataset's anomalies.
+fn resolve_aliases(t: &Topology, cfg: &MercatorConfig, raw: &MeasuredDataset) -> MeasuredDataset {
+    let mut resolvable: HashMap<u32, bool> = HashMap::new();
+    let mut canonical: HashMap<u32, Ipv4Addr> = HashMap::new(); // router -> canonical ip
+    let mut node_target: Vec<Ipv4Addr> = Vec::with_capacity(raw.num_nodes());
+    for node in raw.nodes() {
+        let router = t
+            .router_by_ip(node.ip)
+            .expect("observed interfaces exist in ground truth"); // lint: allow(unwrap): probes only reach ground-truth interfaces
+        let ok = *resolvable.entry(router.0).or_insert_with(|| {
+            let mut r = crate::alias_rng(cfg.seed, router.0);
+            r.random::<f64>() < cfg.alias_success
+        });
+        if ok {
+            let canon = canonical.entry(router.0).or_insert(node.ip);
+            if node.ip < *canon {
+                *canon = node.ip;
+            }
+        }
+        node_target.push(node.ip); // placeholder, resolved below
+    }
+    // Second pass now that canonical IPs are final.
+    for (i, node) in raw.nodes().iter().enumerate() {
+        let router = t.router_by_ip(node.ip).expect("checked above"); // lint: allow(unwrap): resolved in the first pass
+        if resolvable[&router.0] {
+            node_target[i] = canonical[&router.0];
+        }
+    }
+
+    let mut routers = DatasetBuilder::new(NodeKind::Router);
+    let mut raw_to_new: Vec<u32> = Vec::with_capacity(raw.num_nodes());
+    for (node, &canon) in raw.nodes().iter().zip(&node_target) {
+        let new = routers.intern(canon);
+        routers.add_alias(new, node.ip);
+        raw_to_new.push(new);
+    }
+    let mut alias_self_loops = 0;
+    for &(a, b) in raw.links() {
+        let (na, nb) = (raw_to_new[a as usize], raw_to_new[b as usize]);
+        if na == nb {
+            // Both raw endpoints collapsed onto one router: an
+            // alias-resolution artifact, reported distinctly from
+            // probing self-loops.
+            alias_self_loops += 1;
+            continue;
+        }
+        routers.observe_link(na, nb);
+    }
+    // One struct reports every anomaly of the collection: the raw
+    // sweep's discards join the final dataset's stats (the collector
+    // adds the fault session's counters).
+    let mut dataset = routers.finish();
+    dataset.anomalies.alias_self_loops = alias_self_loops;
+    dataset.anomalies.self_loops += raw.anomalies.self_loops;
+    dataset.anomalies.duplicate_links += raw.anomalies.duplicate_links;
+    dataset
+}
+
+/// The raw interface-level sweep: the dataset under construction, a
+/// per-router flag for the routers any hop reached, and each
+/// interface's node (`u32::MAX` until first reported), so a hop costs
+/// no hash but the link set's.
+#[derive(Debug)]
+struct RawSweep<'t> {
+    topology: &'t Topology,
+    raw: DatasetBuilder,
+    seen_routers: Vec<bool>,
+    iface_node: Vec<u32>,
+}
+
+impl<'t> RawSweep<'t> {
+    fn new(topology: &'t Topology) -> Self {
+        RawSweep {
+            topology,
+            raw: DatasetBuilder::new(NodeKind::Interface),
+            seen_routers: vec![false; topology.num_routers()],
+            iface_node: vec![u32::MAX; topology.num_interfaces()],
+        }
+    }
+
+    /// Marks every hop's router seen and links each pair of adjacent
+    /// reported interfaces; a silent hop breaks the chain.
+    fn record(&mut self, hops: &[Hop]) {
+        let t = self.topology;
+        let mut prev: Option<u32> = None;
+        for hop in hops {
+            self.seen_routers[hop.router.0 as usize] = true;
+            prev = hop.interface.map(|iface| {
+                let node = self
+                    .raw
+                    .intern_cached(&mut self.iface_node[iface.0 as usize], || {
+                        t.interface(iface).ip
+                    });
+                if let Some(p) = prev {
+                    self.raw.observe_link(p, node);
+                }
+                node
+            });
+        }
+    }
+
+    /// The routers any hop reached, ascending.
+    fn discovered(&self) -> Vec<u32> {
+        (0..)
+            .zip(&self.seen_routers)
+            .filter_map(|(r, &seen)| seen.then_some(r))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use geotopo_topology::generate::GroundTruthConfig;
+    use std::collections::HashSet;
 
     fn world() -> GroundTruth {
         GroundTruth::generate(GroundTruthConfig::tiny(99)).unwrap()
@@ -433,5 +458,122 @@ mod tests {
             serde_json::to_string(&out.dataset).unwrap(),
             serde_json::to_string(&again.dataset).unwrap()
         );
+    }
+
+    /// A reference collection without the sweep's caches: a hash set of
+    /// the routers hops reached, sorted for the lateral picks, and every
+    /// reported interface interned by address. The router flags and the
+    /// interface cache must reproduce it byte for byte.
+    fn reference_collect(
+        gt: &GroundTruth,
+        cfg: &MercatorConfig,
+        faults: &FaultConfig,
+    ) -> MercatorOutput {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let t = &gt.topology;
+        let source = t
+            .routers()
+            .max_by_key(|(id, _)| t.degree(*id))
+            .map(|(id, _)| id)
+            .unwrap();
+        let (destinations, attach) =
+            sample_destinations(gt, cfg.destinations, &mut rng, &SerialExec);
+        let sim = TracerouteSim::new(t, cfg.response_prob, &mut rng);
+        let expected_probes = (destinations.len() as f64
+            * (1.0 + cfg.lateral_sources as f64 * cfg.lateral_coverage)
+            * 8.0) as u64;
+        let plan = FaultPlan::compile(
+            faults,
+            t.num_routers(),
+            cfg.lateral_sources,
+            expected_probes,
+        );
+        let mut session = FaultSession::new(&plan);
+        let mut raw = DatasetBuilder::new(NodeKind::Interface);
+        let mut seen_routers: HashSet<u32> = HashSet::new();
+        let record = |raw: &mut DatasetBuilder, seen: &mut HashSet<u32>, hops: &[Hop]| {
+            let mut prev: Option<u32> = None;
+            for hop in hops {
+                seen.insert(hop.router.0);
+                prev = hop.interface.map(|iface| {
+                    let node = raw.intern(t.interface(iface).ip);
+                    if let Some(p) = prev {
+                        raw.observe_link(p, node);
+                    }
+                    node
+                });
+            }
+        };
+        let mut scratch = RoutingScratch::new();
+        let mut buf = TraceBuf::new();
+        let primary = scratch.oracle(t, source);
+        for &dst in attach.iter().flatten() {
+            if let Some(hops) = sim.trace_with_faults_into(primary, dst, &mut session, &mut buf) {
+                record(&mut raw, &mut seen_routers, hops);
+            }
+        }
+        let mut discovered: Vec<u32> = seen_routers.iter().copied().collect();
+        discovered.sort_unstable();
+        if !discovered.is_empty() {
+            for v in 0..cfg.lateral_sources {
+                let vantage = RouterId(discovered[rng.random_range(0..discovered.len())]);
+                let oracle = scratch.oracle(t, vantage);
+                for &dst in &attach {
+                    if rng.random::<f64>() < cfg.lateral_coverage {
+                        if session.monitor_down(v) {
+                            session.stats.outage_skips += 1;
+                            continue;
+                        }
+                        let Some(dst) = dst else { continue };
+                        if let Some(hops) =
+                            sim.trace_with_faults_into(oracle, dst, &mut session, &mut buf)
+                        {
+                            record(&mut raw, &mut seen_routers, hops);
+                        }
+                    }
+                }
+            }
+        }
+        let raw = raw.finish();
+        let mut dataset = resolve_aliases(t, cfg, &raw);
+        dataset.anomalies.faults.absorb(&session.stats);
+        MercatorOutput {
+            raw_interfaces: raw.num_nodes(),
+            dataset,
+            source,
+            probes_sent: session.probes_sent(),
+            virtual_ticks: session.tick(),
+            routing: scratch.stats,
+        }
+    }
+
+    #[test]
+    fn cached_sweep_matches_hash_set_reference() {
+        // Random tiny worlds and campaigns, each under the inert plan and
+        // every named active profile: same serialized output.
+        let mut rng = StdRng::seed_from_u64(0x3E2C);
+        for _ in 0..4 {
+            let routers = rng.random_range(300..1_200);
+            let gt =
+                GroundTruth::generate(GroundTruthConfig::at_scale(routers, rng.random())).unwrap();
+            let cfg = MercatorConfig {
+                destinations: rng.random_range(50..2_000),
+                lateral_sources: rng.random_range(0..10),
+                lateral_coverage: rng.random_range(0.1..0.6),
+                response_prob: rng.random_range(0.5..1.0),
+                alias_success: rng.random_range(0.0..1.0),
+                seed: rng.random(),
+            };
+            let fault_seed = rng.random();
+            for name in ["none", "light", "moderate", "heavy"] {
+                let faults = FaultConfig::profile(name, fault_seed).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&Mercator::collect_with_faults(&gt, &cfg, &faults))
+                        .unwrap(),
+                    serde_json::to_string(&reference_collect(&gt, &cfg, &faults)).unwrap(),
+                    "{cfg:?} {name}"
+                );
+            }
+        }
     }
 }

@@ -572,7 +572,9 @@ impl Skitter {
         // (never derived from the thread count), so node interning —
         // and with it every downstream byte — is schedule-independent.
         // Interfaces and end hosts intern through vec-indexed caches;
-        // only first sightings touch the builder's by-IP hash map.
+        // only first sightings touch the builder's by-IP hash map, and
+        // only sightings its last-neighbour cache misses touch the
+        // link set.
         let mut dataset = DatasetBuilder::new(NodeKind::Interface);
         let mut iface_node: Vec<u32> = vec![u32::MAX; t.num_interfaces()];
         let mut host_node: Vec<u32> = vec![u32::MAX; campaign.destinations.len()];
@@ -588,16 +590,12 @@ impl Skitter {
                 let mut prev: Option<u32> = None;
                 for ev in &chunk.replay {
                     let node = match *ev {
-                        ReplayEvent::Iface(id) => {
-                            intern_cached(&mut dataset, &mut iface_node[id.0 as usize], || {
-                                t.interface(id).ip
-                            })
-                        }
-                        ReplayEvent::Host(d) => {
-                            intern_cached(&mut dataset, &mut host_node[d as usize], || {
+                        ReplayEvent::Iface(id) => dataset
+                            .intern_cached(&mut iface_node[id.0 as usize], || t.interface(id).ip),
+                        ReplayEvent::Host(d) => dataset
+                            .intern_cached(&mut host_node[d as usize], || {
                                 campaign.destinations[d as usize]
-                            })
-                        }
+                            }),
                         ReplayEvent::Break => {
                             prev = None;
                             continue;
@@ -637,20 +635,6 @@ fn end_trace(replay: &mut Vec<ReplayEvent>, chained: bool, d: usize) {
         replay.push(ReplayEvent::Host(d as u32));
     }
     replay.push(ReplayEvent::Break);
-}
-
-/// The dataset node behind an intern-cache `slot`, interning `ip()` on
-/// the first sighting. An address keeps its node once interned, so the
-/// cache answers exactly what the by-IP map would.
-fn intern_cached(
-    dataset: &mut DatasetBuilder,
-    slot: &mut u32,
-    ip: impl FnOnce() -> Ipv4Addr,
-) -> u32 {
-    if *slot == u32::MAX {
-        *slot = dataset.intern(ip());
-    }
-    *slot
 }
 
 /// Picks monitor routers spread across regions.

@@ -10,6 +10,7 @@ use geotopo_measure::dataset::{DatasetBuilder, NodeKind};
 use geotopo_measure::routing::RoutingOracle;
 use geotopo_topology::{RouterId, Topology, TopologyBuilder};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 fn build(n: usize, edges: &[(u32, u32)]) -> Topology {
@@ -152,5 +153,65 @@ proptest! {
         for &(a, b) in d.links() {
             prop_assert!(a < n && b < n && a != b);
         }
+    }
+
+    #[test]
+    fn link_dedup_matches_a_hash_set_model(
+        // (op, x, y): 0 interns address x, 1 links nodes x and y, 2
+        // repeats the last link, 3 repeats it reversed, 4 extends it to
+        // node x like the next hop of a trace. A small address pool
+        // makes repeats, reversed pairs and self-loops common.
+        ops in prop::collection::vec((0u8..5, 0usize..12, 0usize..12), 1..300),
+    ) {
+        let mut d = DatasetBuilder::new(NodeKind::Interface);
+        let mut nodes: Vec<u32> = Vec::new();
+        let mut last: Option<(u32, u32)> = None;
+        // The model: nodes in first-intern order, canonical pairs in a
+        // plain hash set and in first-sighting order, and the counts.
+        let mut model_ips: Vec<Ipv4Addr> = Vec::new();
+        let mut model_set: HashSet<(u32, u32)> = HashSet::new();
+        let mut model_links: Vec<(u32, u32)> = Vec::new();
+        let (mut self_loops, mut duplicates) = (0u64, 0u64);
+        for (op, x, y) in ops {
+            if op == 0 {
+                let ip = Ipv4Addr::from(0x0A00_0000 + x as u32);
+                let want = match model_ips.iter().position(|&m| m == ip) {
+                    Some(i) => i,
+                    None => {
+                        model_ips.push(ip);
+                        model_ips.len() - 1
+                    }
+                };
+                let node = d.intern(ip);
+                prop_assert_eq!(node as usize, want);
+                nodes.push(node);
+                continue;
+            }
+            if nodes.is_empty() {
+                continue;
+            }
+            let pair = match (op, last) {
+                (1, _) => (nodes[x % nodes.len()], nodes[y % nodes.len()]),
+                (2, Some(p)) => p,
+                (3, Some((a, b))) => (b, a),
+                (_, Some((_, b))) => (b, nodes[x % nodes.len()]),
+                (_, None) => continue,
+            };
+            last = Some(pair);
+            d.observe_link(pair.0, pair.1);
+            let (a, b) = pair;
+            if a == b {
+                self_loops += 1;
+            } else if model_set.insert((a.min(b), a.max(b))) {
+                model_links.push((a.min(b), a.max(b)));
+            } else {
+                duplicates += 1;
+            }
+        }
+        let d = d.finish();
+        prop_assert_eq!(d.num_nodes(), model_ips.len());
+        prop_assert_eq!(d.links(), &model_links[..]);
+        prop_assert_eq!(d.anomalies.self_loops, self_loops);
+        prop_assert_eq!(d.anomalies.duplicate_links, duplicates);
     }
 }

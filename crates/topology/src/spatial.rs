@@ -6,17 +6,21 @@
 
 use geotopo_geo::{haversine_miles, GeoPoint, EARTH_RADIUS_MILES};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Grid-bucket spatial index over indexed points.
 ///
 /// Buckets are stored as slices of packed parallel arrays (point index,
-/// latitude/longitude in radians, cos-latitude), so a bucket scan is a
-/// sequential sweep over dense f64 lanes instead of a gather through the
-/// point table — the dominant cost when metro buckets hold thousands of
-/// routers. The precomputed values are exactly the ones the haversine
+/// latitude/longitude in radians, cos-latitude, and the sines and
+/// cosines of the half angles), so a bucket scan is a sequential sweep
+/// over dense f64 lanes instead of a gather through the point table —
+/// the dominant cost when metro buckets hold thousands of routers. The
+/// radian and cos-latitude lanes are exactly the values the haversine
 /// formula derives per point (`lat_rad()`, `lon_rad()`, and their `cos`),
 /// so distances assembled from them are bit-identical to
-/// [`haversine_miles`].
+/// [`haversine_miles`]; the half-angle lanes let
+/// [`SpatialIndex::for_each_in_radius`] decide most points without a
+/// `sin`.
 #[derive(Debug, Clone)]
 pub struct SpatialIndex {
     cell_deg: f64,
@@ -32,7 +36,50 @@ pub struct SpatialIndex {
     slot_lon_rad: Vec<f64>,
     /// cos(latitude in radians) per packed slot.
     slot_cos_lat: Vec<f64>,
+    /// sin and cos of half the latitude in radians, per packed slot.
+    slot_half_lat: Vec<(f64, f64)>,
+    /// sin and cos of half the longitude in radians, per packed slot.
+    slot_half_lon: Vec<(f64, f64)>,
 }
+
+/// A radius query's centre in the forms the scans read, and the bounds
+/// they test against.
+#[derive(Debug)]
+struct Query {
+    radius_miles: f64,
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+    /// The padded radius (the radius inflated by a relative margin far
+    /// above f64 roundoff) as a central angle.
+    max_angle: f64,
+    /// `hav` of the padded radius.
+    hav_padded: f64,
+}
+
+/// An absolute bound on `|h̃ − h|` between the haversine term `h̃` that
+/// [`SpatialIndex::for_each_in_radius`] assembles from half-angle sines
+/// and cosines and the term `h` of the exact scan. With `u = 2⁻⁵³` and
+/// every factor in `[−1, 1]`, both are compared with the true
+/// `H = sin²(Δφ/2) + C·sin²(Δλ/2)` (`C` the same rounded
+/// `cosφ_c·cosφ_q` product in both):
+///
+/// - exact scan: `Δφ` rounds by `u·|Δφ| ≤ πu` and `Δλ` by `≤ 2πu`
+///   (unwrapped), halved exactly, and `sin` adds ≤ 1 ulp ≤ `u`, so
+///   `sin(Δφ/2)` is off by ≤ 2.6u and `sin(Δλ/2)` by ≤ 4.2u. Squaring
+///   doubles those and rounds (≤ 6.3u and ≤ 9.5u), the product with
+///   `C ≤ 1` rounds once more, and the sum of two terms ≤ 1 rounds by
+///   ≤ 2u: `|h − H| ≤ 19u`;
+/// - half-angle form: `sin(a − b) = sin a·cos b − cos a·sin b` holds
+///   exactly for `a`, `b` the halved stored angles, whose sines and
+///   cosines are each off by ≤ `u`. Each product is then off by ≤ 3u
+///   and the difference by ≤ 7u; squaring, the product with `C` and
+///   the sum give `|h̃ − H| ≤ 33u`.
+///
+/// So `|h̃ − h| ≤ 52u ≈ 5.8e-15`. The margin is about 17 times that,
+/// and far below the relative 10⁻⁶ pads of the radius tests it widens
+/// (`hav(40 mi)` is ~2.6e-5).
+const HALF_ANGLE_MARGIN: f64 = 1e-13;
 
 /// The haversine term `hav(d/R) = sin²(Δφ/2) + cosφ₁·cosφ₂·sin²(Δλ/2)`
 /// of an angle given in degrees — used for conservative radius bounds.
@@ -62,6 +109,8 @@ impl SpatialIndex {
         let mut slot_lat_rad = Vec::with_capacity(points.len());
         let mut slot_lon_rad = Vec::with_capacity(points.len());
         let mut slot_cos_lat = Vec::with_capacity(points.len());
+        let mut slot_half_lat = Vec::with_capacity(points.len());
+        let mut slot_half_lon = Vec::with_capacity(points.len());
         for (key, members) in grouped {
             buckets.insert(key, (slot_idx.len() as u32, members.len() as u32));
             for i in members {
@@ -70,6 +119,8 @@ impl SpatialIndex {
                 slot_lat_rad.push(p.lat_rad());
                 slot_lon_rad.push(p.lon_rad());
                 slot_cos_lat.push(p.lat_rad().cos());
+                slot_half_lat.push((p.lat_rad() / 2.0).sin_cos());
+                slot_half_lon.push((p.lon_rad() / 2.0).sin_cos());
             }
         }
         SpatialIndex {
@@ -80,6 +131,8 @@ impl SpatialIndex {
             slot_lat_rad,
             slot_lon_rad,
             slot_cos_lat,
+            slot_half_lat,
+            slot_half_lon,
         }
     }
 
@@ -117,32 +170,32 @@ impl SpatialIndex {
         out
     }
 
-    /// Calls `visit(slot, h)` for every packed slot whose haversine term
-    /// `h = sin²(Δφ/2) + cosφ_c·cosφ_q·sin²(Δλ/2)` (bit-identical to the
-    /// one inside [`haversine_miles`]) passes a conservative radius
-    /// bound. Whole buckets and individual candidates are rejected only
-    /// when provably outside the radius, so the visited superset — in
-    /// bucket-scan order — always contains every in-radius point:
-    ///
-    /// - bucket bound: for any point `q` in a bucket, `h` is at least
-    ///   `hav(Δφ_min) + cosφ_c·cosφ_min·hav(Δλ_min)` taken over the
-    ///   bucket's lat/lon rectangle (`cos` attains its minimum over a
-    ///   latitude interval at an endpoint);
-    /// - latitude band per point: the central angle is at least `|Δφ|`,
-    ///   so `d ≥ R·|Δφ|`;
-    /// - `h` itself against `hav(r)`. `sin²(Δλ/2)` is 2π-periodic, so
-    ///   unwrapped longitude differences are safe.
-    ///
-    /// All radius comparisons use the radius inflated by a relative
-    /// margin far above f64 roundoff.
-    fn scan_candidates<F: FnMut(usize, f64)>(
-        &self,
-        center: &GeoPoint,
-        radius_miles: f64,
-        mut visit: F,
-    ) {
+    /// The query for `center` and `radius_miles`.
+    fn query(center: &GeoPoint, radius_miles: f64) -> Query {
+        let radius_padded = radius_miles * 1.000_001;
+        let s = (radius_padded / (2.0 * EARTH_RADIUS_MILES)).sin();
+        Query {
+            radius_miles,
+            lat_rad: center.lat_rad(),
+            lon_rad: center.lon_rad(),
+            cos_lat: center.lat_rad().cos(),
+            max_angle: radius_padded / EARTH_RADIUS_MILES,
+            hav_padded: s * s,
+        }
+    }
+
+    /// Calls `visit(slots)` with the packed slot range of every bucket
+    /// that may hold a point within the radius, in bucket-scan order. A
+    /// bucket is skipped only when provably outside: for any point `q`
+    /// in it, `h = sin²(Δφ/2) + cosφ_c·cosφ_q·sin²(Δλ/2)` is at least
+    /// `hav(Δφ_min) + cosφ_c·cosφ_min·hav(Δλ_min)` taken over the
+    /// bucket's lat/lon rectangle (`cos` attains its minimum over a
+    /// latitude interval at an endpoint), tested against the padded
+    /// radius.
+    fn scan_buckets(&self, center: &GeoPoint, q: &Query, mut visit: impl FnMut(Range<usize>)) {
         // Bucket reach: radius in degrees of latitude, padded; longitude
         // reach grows with latitude (cos shrinkage), capped to the globe.
+        let radius_miles = q.radius_miles;
         let lat_reach = (radius_miles / 69.0 / self.cell_deg).ceil() as i32 + 1;
         let cos_lat = center.lat().to_radians().cos().max(0.05);
         let lon_reach = (radius_miles / (69.0 * cos_lat) / self.cell_deg).ceil() as i32 + 1;
@@ -151,15 +204,6 @@ impl SpatialIndex {
         let (kr, kc) = Self::key(center, self.cell_deg);
         let center_lat = center.lat();
         let center_lon = center.lon();
-        let center_lat_rad = center.lat_rad();
-        let center_lon_rad = center.lon_rad();
-        let center_cos = center_lat_rad.cos();
-        let radius_padded = radius_miles * 1.000_001;
-        let max_dlat_rad = radius_padded / EARTH_RADIUS_MILES;
-        let hav_radius_padded = {
-            let s = (radius_padded / (2.0 * EARTH_RADIUS_MILES)).sin();
-            s * s
-        };
         for dr in -lat_reach..=lat_reach {
             // Row-level bound: min |Δφ| from the centre to the row's
             // latitude interval, and the row's max cos(lat).
@@ -169,7 +213,7 @@ impl SpatialIndex {
                 .max(center_lat - row_lat_hi)
                 .max(0.0);
             let hav_phi_min = hav_deg(dphi_min_deg);
-            if hav_phi_min > hav_radius_padded {
+            if hav_phi_min > q.hav_padded {
                 continue;
             }
             let cos_row_min = row_lat_lo
@@ -202,28 +246,27 @@ impl SpatialIndex {
                     };
                     to_edge(col_lon_lo).min(to_edge(col_lon_hi))
                 };
-                if hav_phi_min + center_cos * cos_row_min * hav_deg(dlam_min_deg)
-                    > hav_radius_padded
-                {
+                if hav_phi_min + q.cos_lat * cos_row_min * hav_deg(dlam_min_deg) > q.hav_padded {
                     continue;
                 }
-                let (start, end) = (start as usize, (start + len) as usize);
-                for k in start..end {
-                    let dlat = self.slot_lat_rad[k] - center_lat_rad;
-                    if dlat.abs() > max_dlat_rad {
-                        continue;
-                    }
-                    let dlon = self.slot_lon_rad[k] - center_lon_rad;
-                    let s_lat = (dlat / 2.0).sin();
-                    let s_lon = (dlon / 2.0).sin();
-                    let h = s_lat * s_lat + center_cos * self.slot_cos_lat[k] * (s_lon * s_lon);
-                    if h > hav_radius_padded {
-                        continue;
-                    }
-                    visit(k, h);
-                }
+                visit(start as usize..(start + len) as usize);
             }
         }
+    }
+
+    /// Whether slot `k` lies outside the latitude band of the padded
+    /// radius: the central angle is at least `|Δφ|`, so `d ≥ R·|Δφ|`.
+    fn outside_lat_band(&self, q: &Query, k: usize) -> bool {
+        (self.slot_lat_rad[k] - q.lat_rad).abs() > q.max_angle
+    }
+
+    /// Slot `k`'s haversine term, bit-identical to the one inside
+    /// [`haversine_miles`]. `sin²(Δλ/2)` is 2π-periodic, so unwrapped
+    /// longitude differences are safe.
+    fn hav_term(&self, q: &Query, k: usize) -> f64 {
+        let s_lat = ((self.slot_lat_rad[k] - q.lat_rad) / 2.0).sin();
+        let s_lon = ((self.slot_lon_rad[k] - q.lon_rad) / 2.0).sin();
+        s_lat * s_lat + q.cos_lat * self.slot_cos_lat[k] * (s_lon * s_lon)
     }
 
     /// Finishes the haversine from its precomputed term: bit-identical
@@ -235,40 +278,83 @@ impl SpatialIndex {
 
     /// Calls `f(index, distance_miles)` for each point within the radius
     /// (inclusive), in bucket-scan order, with the exact
-    /// [`haversine_miles`] distance.
+    /// [`haversine_miles`] distance. Points outside the latitude band or
+    /// with `h` past the padded radius are skipped before the finish;
+    /// neither test rejects a point within the radius.
     pub fn for_each_within<F: FnMut(u32, f64)>(
         &self,
         center: &GeoPoint,
         radius_miles: f64,
         mut f: F,
     ) {
-        self.scan_candidates(center, radius_miles, |k, h| {
-            let d = Self::finish_distance(h);
-            if d <= radius_miles {
-                f(self.slot_idx[k], d);
+        let q = Self::query(center, radius_miles);
+        self.scan_buckets(center, &q, |slots| {
+            for k in slots {
+                if self.outside_lat_band(&q, k) {
+                    continue;
+                }
+                let h = self.hav_term(&q, k);
+                if h > q.hav_padded {
+                    continue;
+                }
+                let d = Self::finish_distance(h);
+                if d <= radius_miles {
+                    f(self.slot_idx[k], d);
+                }
             }
         });
     }
 
-    /// Calls `f(index)` for each point within the radius (inclusive), in
-    /// the same order as [`SpatialIndex::for_each_within`], without
-    /// reporting distances. Skips the `asin`/`sqrt` finish for points
-    /// conservatively inside the radius (`h < hav(r·(1−ε))` implies
-    /// `d < r`), falling back to the exact distance in the boundary
-    /// sliver — the accepted set is identical to `for_each_within`'s.
+    /// Calls `f(index)` for each point within the radius (inclusive):
+    /// the points of [`SpatialIndex::for_each_within`], in its order,
+    /// without reporting distances and mostly without a `sin`.
+    ///
+    /// Each point is first decided on `h̃`, its haversine term assembled
+    /// by multiply-adds from the centre's and the slot's half-angle sines
+    /// and cosines (`sin(a − b) = sin a·cos b − cos a·sin b`). `h̃` lies
+    /// within a rounding margin (`HALF_ANGLE_MARGIN`, derived there) of
+    /// the exact term `h`. So `h̃` below `hav(r·(1 − 10⁻⁶))` by more than
+    /// the margin puts `h` below it too, hence `d < r`, and `h̃` above
+    /// `hav(r·(1 + 10⁻⁶))` by more than the margin means the exact scan
+    /// rejects the point. Only points in the band between compute `h`,
+    /// then the `asin`/`sqrt` finish unless `h` is conservatively inside.
     pub fn for_each_in_radius<F: FnMut(u32)>(
         &self,
         center: &GeoPoint,
         radius_miles: f64,
         mut f: F,
     ) {
-        let hav_radius_shrunk = {
+        let q = Self::query(center, radius_miles);
+        let hav_shrunk = {
             let s = ((radius_miles * 0.999_999) / (2.0 * EARTH_RADIUS_MILES)).sin();
             s * s
         };
-        self.scan_candidates(center, radius_miles, |k, h| {
-            if h < hav_radius_shrunk || Self::finish_distance(h) <= radius_miles {
-                f(self.slot_idx[k]);
+        let surely_in = hav_shrunk - HALF_ANGLE_MARGIN;
+        let surely_out = q.hav_padded + HALF_ANGLE_MARGIN;
+        let (sin_half_lat, cos_half_lat) = (q.lat_rad / 2.0).sin_cos();
+        let (sin_half_lon, cos_half_lon) = (q.lon_rad / 2.0).sin_cos();
+        self.scan_buckets(center, &q, |slots| {
+            for k in slots {
+                if self.outside_lat_band(&q, k) {
+                    continue;
+                }
+                let (sin_lat, cos_lat) = self.slot_half_lat[k];
+                let (sin_lon, cos_lon) = self.slot_half_lon[k];
+                let s_lat = sin_lat * cos_half_lat - cos_lat * sin_half_lat;
+                let s_lon = sin_lon * cos_half_lon - cos_lon * sin_half_lon;
+                let h_approx = s_lat * s_lat + q.cos_lat * self.slot_cos_lat[k] * (s_lon * s_lon);
+                let inside = if h_approx < surely_in {
+                    true
+                } else if h_approx > surely_out {
+                    false
+                } else {
+                    let h = self.hav_term(&q, k);
+                    h <= q.hav_padded
+                        && (h < hav_shrunk || Self::finish_distance(h) <= radius_miles)
+                };
+                if inside {
+                    f(self.slot_idx[k]);
+                }
             }
         });
     }
@@ -299,6 +385,7 @@ impl SpatialIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(lat: f64, lon: f64) -> GeoPoint {
         GeoPoint::new(lat, lon).unwrap()
@@ -448,6 +535,52 @@ mod tests {
                 idx.for_each_in_radius(&center, radius, |i| without_d.push(i));
                 assert_eq!(with_d, without_d, "center {clat},{clon} radius {radius}");
             }
+        }
+    }
+
+    /// The point `miles` from `from` on initial bearing `bearing`
+    /// (radians), by the spherical destination formula.
+    fn destination(from: &GeoPoint, bearing: f64, miles: f64) -> GeoPoint {
+        let delta = miles / EARTH_RADIUS_MILES;
+        let (phi, lambda) = (from.lat_rad(), from.lon_rad());
+        let lat = (phi.sin() * delta.cos() + phi.cos() * delta.sin() * bearing.cos()).asin();
+        let lon = lambda
+            + (bearing.sin() * delta.sin() * phi.cos()).atan2(delta.cos() - phi.sin() * lat.sin());
+        GeoPoint::new(lat.to_degrees().clamp(-90.0, 90.0), lon.to_degrees()).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn half_angle_scan_matches_the_exact_scan(
+            // Centres anywhere, half of them within a degree of the
+            // antimeridian; radii from a metro to a region.
+            lat in -89.0f64..89.0,
+            lon in -180.0f64..180.0,
+            near_antimeridian in any::<bool>(),
+            radius in 0.5f64..300.0,
+            // Points on the boundary, within 1e-9 mi of the radius
+            // either way, and scattered out to twice the radius.
+            rim in prop::collection::vec((0.0f64..std::f64::consts::TAU, -1e-9f64..1e-9), 0..60),
+            scatter in prop::collection::vec((0.0f64..std::f64::consts::TAU, 0.0f64..2.0), 0..200),
+            cell_deg in 0.25f64..2.0,
+        ) {
+            let lon = if near_antimeridian { 179.0 + lon.rem_euclid(2.0) } else { lon };
+            let center = p(lat, lon);
+            let pts: Vec<GeoPoint> = rim
+                .iter()
+                .map(|&(bearing, eps)| destination(&center, bearing, radius + eps))
+                .chain(
+                    scatter
+                        .iter()
+                        .map(|&(bearing, f)| destination(&center, bearing, radius * f)),
+                )
+                .collect();
+            let idx = SpatialIndex::new(pts, cell_deg);
+            let mut exact: Vec<u32> = Vec::new();
+            idx.for_each_within(&center, radius, |i, _| exact.push(i));
+            let mut pretested: Vec<u32> = Vec::new();
+            idx.for_each_in_radius(&center, radius, |i| pretested.push(i));
+            prop_assert_eq!(pretested, exact);
         }
     }
 }
