@@ -15,6 +15,9 @@
 //! - [`Region`]: latitude/longitude bounding boxes (Tables II, III, IV).
 //! - [`box_counting_dimension`]: fractal dimension via box counting,
 //!   confirming the ~1.5 dimension reported by Yook et al. (Section II).
+//! - [`SpatialIndex`]: the 1° grid-bucket index behind every radius and
+//!   nearest-point query — ground truth's metro peering and the
+//!   gazetteer's nearest-city search.
 //!
 //! All angles are degrees at API boundaries; radians are internal only.
 
@@ -28,6 +31,7 @@ pub mod grid;
 pub mod hull;
 pub mod projection;
 pub mod region;
+pub mod spatial;
 
 pub use boxcount::{box_counting_dimension, BoxCountResult};
 pub use coords::GeoPoint;
@@ -36,3 +40,4 @@ pub use grid::{PatchCell, PatchGrid};
 pub use hull::{convex_hull, polygon_area, PlanarPoint};
 pub use projection::AlbersProjection;
 pub use region::{Region, RegionSet};
+pub use spatial::SpatialIndex;

@@ -6,7 +6,7 @@
 //! and the parsers resolve codes back to coordinates. City-granularity
 //! accuracy is therefore inherent, exactly as in \[28\].
 
-use geotopo_geo::{haversine_miles, GeoPoint};
+use geotopo_geo::{GeoPoint, SpatialIndex};
 use geotopo_population::PopulationGrid;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -26,13 +26,15 @@ pub struct City {
 /// synthetic towns derived from a population raster (real hostname
 /// conventions name thousands of towns, not just hub airports).
 ///
-/// Nearest-city queries use a 1° bucket index with expanding-ring
-/// search, so lookups stay fast with tens of thousands of entries.
+/// Nearest-city queries run on a [`SpatialIndex`] over the city
+/// locations, so lookups stay fast with tens of thousands of entries and
+/// are exact everywhere, the antimeridian and the poles included.
 #[derive(Debug, Clone)]
 pub struct Gazetteer {
     cities: Vec<City>,
     by_code: HashMap<String, u32>,
-    buckets: HashMap<(i16, i16), Vec<u32>>,
+    /// The city locations, in city order.
+    index: SpatialIndex,
 }
 
 macro_rules! city {
@@ -202,12 +204,18 @@ impl Gazetteer {
         let mut g = Gazetteer {
             cities: Vec::with_capacity(cities.len()),
             by_code: HashMap::new(),
-            buckets: HashMap::new(),
+            index: SpatialIndex::new([]),
         };
         for c in cities {
             g.push(c);
         }
+        g.reindex();
         g
+    }
+
+    /// Rebuilds the spatial index after cities were pushed.
+    fn reindex(&mut self) {
+        self.index = SpatialIndex::new(self.cities.iter().map(|c| c.location));
     }
 
     fn push(&mut self, city: City) -> bool {
@@ -215,12 +223,7 @@ impl Gazetteer {
         if self.by_code.contains_key(&code) {
             return false;
         }
-        let idx = self.cities.len() as u32;
-        self.by_code.insert(code, idx);
-        self.buckets
-            .entry(bucket_of(&city.location))
-            .or_default()
-            .push(idx);
+        self.by_code.insert(code, self.cities.len() as u32);
         self.cities.push(city);
         true
     }
@@ -238,7 +241,7 @@ impl Gazetteer {
         const CAPACITY: u32 = 26 * 26 * 26 * 26;
         let mut added = 0usize;
         let mut counter = 0u32;
-        for cell in grid.grid().cells() {
+        'cells: for cell in grid.grid().cells() {
             let pop = grid.cells()[grid.grid().flat_index(cell)];
             if pop < min_cell_pop {
                 continue;
@@ -251,7 +254,7 @@ impl Gazetteer {
             // has no Z-initial codes, so no collisions with it).
             loop {
                 if counter >= CAPACITY {
-                    return added;
+                    break 'cells;
                 }
                 let code = format!(
                     "Z{}{}{}{}",
@@ -272,6 +275,7 @@ impl Gazetteer {
                 }
             }
         }
+        self.reindex();
         added
     }
 
@@ -299,7 +303,7 @@ impl Gazetteer {
     /// [`Gazetteer::nearest`] with an optional memoized answer: a
     /// `Some` hint (a prior [`Gazetteer::nearest_idx`] result for `p`
     /// against *this* gazetteer) is served without searching, `None`
-    /// falls back to the full expanding-ring scan. The mapping hot
+    /// falls back to the search. The mapping hot
     /// paths call this with per-router hints so co-located interfaces
     /// pay for one search, not one each.
     pub fn nearest_hinted(&self, p: &GeoPoint, hint: Option<(u32, f64)>) -> Option<(&City, f64)> {
@@ -312,50 +316,10 @@ impl Gazetteer {
     /// Index (into [`Gazetteer::cities`]) and distance in miles of the
     /// single nearest city — the allocation-free core of
     /// [`Gazetteer::nearest`], shaped for the query snapshot's hot
-    /// lookup path: one best candidate is tracked through the expanding
-    /// ring scan, no candidate vector is built. Ties break toward the
-    /// lower index.
+    /// lookup path. Ties break toward the lower index.
     // analyze: hot-path-root
     pub fn nearest_idx(&self, p: &GeoPoint) -> Option<(u32, f64)> {
-        if self.cities.is_empty() {
-            return None;
-        }
-        let (pr, pc) = bucket_of(p);
-        let mut best: Option<(u32, f64)> = None;
-        for ring in 0i16..=181 {
-            for dr in -ring..=ring {
-                for dc in -ring..=ring {
-                    if dr.abs() != ring && dc.abs() != ring {
-                        continue; // boundary only; interior already done
-                    }
-                    let Some(bucket) = self.buckets.get(&(pr + dr, wrap_col(pc + dc))) else {
-                        continue;
-                    };
-                    for &i in bucket {
-                        let d = haversine_miles(p, &self.cities[i as usize].location);
-                        let better = match best {
-                            None => true,
-                            Some((bi, bd)) => match d.total_cmp(&bd) {
-                                std::cmp::Ordering::Less => true,
-                                std::cmp::Ordering::Equal => i < bi,
-                                std::cmp::Ordering::Greater => false,
-                            },
-                        };
-                        if better {
-                            best = Some((i, d));
-                        }
-                    }
-                }
-            }
-            if let Some((_, bd)) = best {
-                // Same termination bound as nearest_k: a city in an
-                // unscanned bucket is more than `ring` degrees away.
-                if bd <= ring_bound_miles(ring) {
-                    return best;
-                }
-            }
-        }
-        best
+        self.index.nearest_point(p)
     }
 
     /// The `k`-th nearest city (0 = nearest).
@@ -365,41 +329,10 @@ impl Gazetteer {
             .map(|&(i, _)| &self.cities[i as usize])
     }
 
-    /// The `k` nearest cities as (index, distance), closest first, via
-    /// expanding-ring bucket search. Each ring scans only its boundary
-    /// buckets; the search stops once the k-th best hit provably beats
-    /// anything an unscanned bucket could hold.
+    /// The `k` nearest cities as (index, distance), closest first, ties
+    /// toward the lower index.
     fn nearest_k(&self, p: &GeoPoint, k: usize) -> Vec<(u32, f64)> {
-        if self.cities.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let (pr, pc) = bucket_of(p);
-        let mut best: Vec<(u32, f64)> = Vec::new();
-        for ring in 0i16..=181 {
-            for dr in -ring..=ring {
-                for dc in -ring..=ring {
-                    if dr.abs() != ring && dc.abs() != ring {
-                        continue; // boundary only; interior already done
-                    }
-                    if let Some(bucket) = self.buckets.get(&(pr + dr, wrap_col(pc + dc))) {
-                        for &i in bucket {
-                            let d = haversine_miles(p, &self.cities[i as usize].location);
-                            best.push((i, d));
-                        }
-                    }
-                }
-            }
-            if best.len() >= k {
-                sort_dedup_candidates(&mut best);
-                if best.len() >= k && best[k - 1].1 <= ring_bound_miles(ring) {
-                    best.truncate(k);
-                    return best;
-                }
-            }
-        }
-        sort_dedup_candidates(&mut best);
-        best.truncate(k);
-        best
+        self.index.nearest_points(p, k)
     }
 
     /// Looks up a city by its code (case-insensitive).
@@ -410,50 +343,11 @@ impl Gazetteer {
     }
 }
 
-/// 1°×1° bucket key. Column 180 (a point at exactly +180° longitude)
-/// wraps to -180: probe columns are normalized into [-180, 179] by
-/// [`wrap_col`], so a city stored under column 180 would be invisible
-/// to every query — the antimeridian bug this normalization fixes.
-fn bucket_of(p: &GeoPoint) -> (i16, i16) {
-    (p.lat().floor() as i16, wrap_col(p.lon().floor() as i16))
-}
-
-/// Normalizes a (possibly ring-offset) bucket column into [-180, 179],
-/// wrapping across the date line.
-fn wrap_col(mut col: i16) -> i16 {
-    if col < -180 {
-        col += 360;
-    } else if col >= 180 {
-        col -= 360;
-    }
-    col
-}
-
-/// The expanding-ring termination bound: a city in a bucket the ring
-/// has not scanned differs by more than `ring` bucket indices, i.e. by
-/// more than `ring` degrees of latitude or longitude. The tightest mile
-/// bound is the longitude one at high latitude; 0.25 covers |lat| ≤ 75.5°.
-fn ring_bound_miles(ring: i16) -> f64 {
-    69.0 * f64::from(ring) * 0.25
-}
-
-/// Sorts candidates by (distance, index) and drops duplicate indices:
-/// once the ring radius exceeds 180 columns the date-line wrap makes
-/// two `dc` offsets land on the same bucket, so a boundary scan can
-/// visit one bucket twice — without the dedup, `nearest_k` could hand
-/// back the same city in two result slots.
-fn sort_dedup_candidates(best: &mut Vec<(u32, f64)>) {
-    best.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("finite") // lint: allow(unwrap): haversine of valid coordinates is finite
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    best.dedup_by_key(|e| e.0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geotopo_geo::haversine_miles;
+    use proptest::prelude::*;
 
     #[test]
     fn builtin_is_reasonably_sized() {
@@ -612,21 +506,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nearest_idx_agrees_with_nearest_k() {
-        let g = Gazetteer::builtin();
-        for (lat, lon) in [
-            (42.37, -71.11),
-            (0.0, -170.0),
-            (-33.0, 151.0),
-            (10.0, 180.0),
-            (48.80, 2.13),
-        ] {
-            let p = GeoPoint::new(lat, lon).unwrap();
+    proptest! {
+        #[test]
+        fn nearest_idx_and_kth_nearest_match_a_linear_scan(
+            probe in (-90.0f64..=90.0, -180.0f64..180.0),
+            // Cities from one spot around the probe to the whole sphere.
+            spread in 0.0f64..1.0,
+            spots in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..50),
+            // Repeated locations, for ties.
+            repeats in prop::collection::vec(0usize..1000, 0..20),
+            at_a_city in any::<bool>(),
+        ) {
+            let scale = spread.powi(3);
+            let mut locations: Vec<GeoPoint> = spots
+                .iter()
+                .map(|&(a, b)| {
+                    let lat = (probe.0 + 180.0 * scale * (a - 0.5)).clamp(-90.0, 90.0);
+                    GeoPoint::new(lat, probe.1 + 360.0 * scale * (b - 0.5)).unwrap()
+                })
+                .collect();
+            for &r in &repeats {
+                locations.push(locations[r % spots.len()]);
+            }
+            let g = Gazetteer::from_cities(
+                locations
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &location)| City {
+                        name: format!("city {i}"),
+                        code: format!("C{i}"),
+                        location,
+                    })
+                    .collect(),
+            );
+            let p = if at_a_city {
+                locations[repeats.first().copied().unwrap_or(0) % locations.len()]
+            } else {
+                GeoPoint::new(probe.0, probe.1).unwrap()
+            };
+            let mut want: Vec<(u32, f64)> = locations
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (i as u32, haversine_miles(&p, c)))
+                .collect();
+            want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             let (i, d) = g.nearest_idx(&p).unwrap();
-            let k = g.nearest_k(&p, 1)[0];
-            assert_eq!(i, k.0, "index diverged at ({lat}, {lon})");
-            assert!((d - k.1).abs() < 1e-9);
+            prop_assert_eq!((i, d.to_bits()), (want[0].0, want[0].1.to_bits()));
+            for k in 0..4 {
+                let got = g.kth_nearest(&p, k).map(|c| c.code.clone());
+                prop_assert_eq!(got, want.get(k).map(|&(i, _)| format!("C{i}")), "k = {}", k);
+            }
         }
     }
 }

@@ -18,9 +18,8 @@
 use super::waxman::GenError;
 use crate::graph::{RouterId, Topology, TopologyBuilder};
 use crate::latency::LatencyModel;
-use crate::spatial::SpatialIndex;
 use geotopo_bgp::AsId;
-use geotopo_geo::{GeoPoint, Region};
+use geotopo_geo::{GeoPoint, Region, SpatialIndex};
 use geotopo_population::SyntheticPopulation;
 use geotopo_stats::Zipf;
 use rand::rngs::StdRng;
@@ -141,7 +140,7 @@ pub fn geogen(cfg: &GeoGenConfig) -> Result<GeoGenOutput, GenError> {
         sum += 1;
         k += 1;
     }
-    let spatial = SpatialIndex::new(locations.clone(), 1.0);
+    let spatial = SpatialIndex::new(locations.iter().copied());
     let mut asn_of = vec![AsId(0); cfg.n];
     let mut unassigned: usize = cfg.n;
     for (idx, &size) in sizes.iter().enumerate() {
@@ -164,7 +163,7 @@ pub fn geogen(cfg: &GeoGenConfig) -> Result<GeoGenOutput, GenError> {
         let mut claimed = 0usize;
         let mut radius = 50.0;
         while claimed < size && radius < 25_000.0 {
-            let nearby = spatial.within(&locations[seed_r], radius, None);
+            let nearby = spatial.within(&locations[seed_r], radius);
             for i in nearby {
                 if claimed >= size {
                     break;

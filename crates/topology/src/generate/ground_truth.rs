@@ -24,10 +24,9 @@
 //!   Section III-C.
 
 use crate::graph::{RouterId, Topology, TopologyBuilder};
-use crate::spatial::SpatialIndex;
 use geotopo_bgp::alloc::{AsAllocation, PrefixAllocator};
 use geotopo_bgp::AsId;
-use geotopo_geo::GeoPoint;
+use geotopo_geo::{GeoPoint, SpatialIndex};
 use geotopo_population::{EconomicProfile, PointSampler, PopulationGrid, WorldModel};
 use geotopo_stats::{ChunkExec, SerialExec, Zipf};
 use rand::rngs::StdRng;
@@ -538,7 +537,7 @@ impl GroundTruth {
         let n_lh = (extra as f64 * config.frac_long_haul) as usize;
         let n_peer = extra.saturating_sub(n_ds + n_lh);
 
-        let spatial = SpatialIndex::new(routers.iter().map(|r| r.0).collect(), 1.0);
+        let spatial = SpatialIndex::new(routers.iter().map(|r| r.0));
 
         // Distance-sensitive links: true Waxman acceptance. A candidate
         // pair is accepted with probability exp(−d/decay), which makes
